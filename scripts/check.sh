@@ -30,6 +30,11 @@ for preset in "${presets[@]}"; do
     # the scalar loop and beat it >= 1.5x on the 64 MiB cuckoo table.
     echo "=== batched-write engine gate ==="
     ./build/bench/micro_insert_path --engine=batch --full --check
+    # Read-path prefetch gate: at the 96-key Multi-Get batch the fused
+    # AMAC interleave must beat direct >= 1.5x on a 64 MiB table and stay
+    # within 10 % of direct on an L2-resident one.
+    echo "=== prefetch pipeline gate ==="
+    ./build/bench/micro_prefetch_pipeline --quick --check
     # Kernel parity gate: every SIMD kernel (cuckoo and Swiss families,
     # every supported ISA tier) must match its scalar twin probe-for-probe.
     echo "=== kernel parity gate ==="

@@ -115,12 +115,34 @@ bool ReadF64(Reader* r, double* v) {
 }
 
 // Shared MGET entry loops (plain and traced frames differ only in their
-// header prefix).
+// header prefix). The encoders size the frame once and copy each entry in
+// place: Multi-Get frames are the hot path, at 96 entries per request.
+
+// Grows `out` by `bytes` and returns where the new bytes start.
+std::uint8_t* Extend(Buffer* out, std::size_t bytes) {
+  const std::size_t at = out->size();
+  out->resize(at + bytes);
+  return out->data() + at;
+}
+
+template <typename T>
+std::uint8_t* Store(std::uint8_t* at, T v) {
+  std::memcpy(at, &v, sizeof(T));
+  return at + sizeof(T);
+}
+
+std::uint8_t* StoreBytes(std::uint8_t* at, std::string_view bytes) {
+  if (!bytes.empty()) std::memcpy(at, bytes.data(), bytes.size());
+  return at + bytes.size();
+}
 
 void EncodeMgetKeys(const std::vector<std::string_view>& keys, Buffer* out) {
+  std::size_t bytes = keys.size() * sizeof(std::uint16_t);
+  for (std::string_view key : keys) bytes += key.size();
+  std::uint8_t* at = Extend(out, bytes);
   for (std::string_view key : keys) {
-    PutU16(out, static_cast<std::uint16_t>(key.size()));
-    PutBytes(out, key);
+    at = Store(at, static_cast<std::uint16_t>(key.size()));
+    at = StoreBytes(at, key);
   }
 }
 
@@ -158,16 +180,18 @@ bool DecodeMgetKeys(Reader* r, std::uint32_t count, MultiGetRequest* out,
   return true;
 }
 
-void EncodeMgetValues(const std::vector<std::string_view>& vals,
-                      const std::vector<std::uint8_t>& found, Buffer* out) {
+void EncodeMgetValues(std::span<const std::string_view> vals,
+                      std::span<const std::uint8_t> found, Buffer* out) {
+  std::size_t bytes = vals.size() * (1 + sizeof(std::uint32_t));
   for (std::size_t i = 0; i < vals.size(); ++i) {
-    PutU8(out, found[i] ? 1 : 0);
-    if (found[i]) {
-      PutU32(out, static_cast<std::uint32_t>(vals[i].size()));
-      PutBytes(out, vals[i]);
-    } else {
-      PutU32(out, 0);
-    }
+    if (found[i]) bytes += vals[i].size();
+  }
+  std::uint8_t* at = Extend(out, bytes);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    const std::string_view val = found[i] ? vals[i] : std::string_view{};
+    at = Store(at, static_cast<std::uint8_t>(found[i] ? 1 : 0));
+    at = Store(at, static_cast<std::uint32_t>(val.size()));
+    at = StoreBytes(at, val);
   }
 }
 
@@ -290,8 +314,8 @@ void EncodeMultiSetResponse(const std::vector<std::uint8_t>& ok,
   for (std::uint8_t v : ok) PutU8(out, v ? 1 : 0);
 }
 
-void EncodeMultiGetResponse(const std::vector<std::string_view>& vals,
-                            const std::vector<std::uint8_t>& found,
+void EncodeMultiGetResponse(std::span<const std::string_view> vals,
+                            std::span<const std::uint8_t> found,
                             Buffer* out) {
   out->clear();
   PutU8(out, static_cast<std::uint8_t>(Opcode::kMultiGet));
@@ -299,8 +323,8 @@ void EncodeMultiGetResponse(const std::vector<std::string_view>& vals,
   EncodeMgetValues(vals, found, out);
 }
 
-void EncodeTracedMultiGetResponse(const std::vector<std::string_view>& vals,
-                                  const std::vector<std::uint8_t>& found,
+void EncodeTracedMultiGetResponse(std::span<const std::string_view> vals,
+                                  std::span<const std::uint8_t> found,
                                   std::uint64_t trace_id,
                                   const ServerTiming& timing, Buffer* out) {
   out->clear();

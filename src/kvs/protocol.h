@@ -42,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -103,13 +104,30 @@ void EncodeMetricsRequest(Buffer* out);
 void EncodeSetResponse(bool ok, Buffer* out);
 void EncodeMultiSetResponse(const std::vector<std::uint8_t>& ok,
                             Buffer* out);
-void EncodeMultiGetResponse(const std::vector<std::string_view>& vals,
-                            const std::vector<std::uint8_t>& found,
+// `vals`/`found` are parallel spans, so a server can encode one request's
+// slice of a combined batch without copying it out.
+void EncodeMultiGetResponse(std::span<const std::string_view> vals,
+                            std::span<const std::uint8_t> found,
                             Buffer* out);
-void EncodeTracedMultiGetResponse(const std::vector<std::string_view>& vals,
-                                  const std::vector<std::uint8_t>& found,
+void EncodeTracedMultiGetResponse(std::span<const std::string_view> vals,
+                                  std::span<const std::uint8_t> found,
                                   std::uint64_t trace_id,
                                   const ServerTiming& timing, Buffer* out);
+// Whole-vector forms (also accept braced lists).
+inline void EncodeMultiGetResponse(const std::vector<std::string_view>& vals,
+                                   const std::vector<std::uint8_t>& found,
+                                   Buffer* out) {
+  EncodeMultiGetResponse(std::span<const std::string_view>(vals),
+                         std::span<const std::uint8_t>(found), out);
+}
+inline void EncodeTracedMultiGetResponse(
+    const std::vector<std::string_view>& vals,
+    const std::vector<std::uint8_t>& found, std::uint64_t trace_id,
+    const ServerTiming& timing, Buffer* out) {
+  EncodeTracedMultiGetResponse(std::span<const std::string_view>(vals),
+                               std::span<const std::uint8_t>(found), trace_id,
+                               timing, out);
+}
 
 // Named doubles (e.g. "parse_ns.p999" -> 1234.0); order is preserved.
 using StatsPairs = std::vector<std::pair<std::string, double>>;

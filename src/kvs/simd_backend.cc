@@ -68,7 +68,8 @@ SimdBackend::SimdBackend(const Config& config, std::uint64_t ht_entries,
   shard_hits_ = std::vector<std::atomic<std::uint64_t>>(config.shards);
   shard_misses_ = std::vector<std::atomic<std::uint64_t>>(config.shards);
   shard_stash_hits_ = std::vector<std::atomic<std::uint64_t>>(config.shards);
-  pointer_array_.resize(table_->capacity() + 1, 0);  // index 0 reserved
+  // Zero-filled; index 0 reserved.
+  pointer_array_.Allocate((table_->capacity() + 1) * sizeof(std::uint64_t));
   free_indices_.reserve(table_->capacity());
   for (std::uint32_t i = static_cast<std::uint32_t>(table_->capacity());
        i >= 1; --i) {
@@ -92,7 +93,7 @@ bool SimdBackend::EvictOne() {
   std::uint32_t idx = 0;
   if (table_->Find(hk, &idx)) {
     table_->Erase(hk);
-    pointer_array_[idx] = 0;
+    pointers()[idx] = 0;
     free_indices_.push_back(idx);
   }
   slab_.Free(victim, ItemBytes(vkey.size(), ItemVal(victim).size()));
@@ -111,7 +112,7 @@ bool SimdBackend::SetLocked(std::string_view key, std::string_view val) {
   std::uint32_t existing_idx = 0;
   const bool exists = table_->Find(hk, &existing_idx);
   if (exists) {
-    const std::uint64_t old = pointer_array_[existing_idx];
+    const std::uint64_t old = pointers()[existing_idx];
     if (old != 0 && !ItemKeyEquals(old, key)) {
       // Two distinct keys collided on the 32-bit hash key: the index can
       // hold only one of them.
@@ -130,8 +131,8 @@ bool SimdBackend::SetLocked(std::string_view key, std::string_view val) {
   WriteItem(reinterpret_cast<void*>(item), key, val);
 
   if (exists) {
-    const std::uint64_t old = pointer_array_[existing_idx];
-    pointer_array_[existing_idx] = item;
+    const std::uint64_t old = pointers()[existing_idx];
+    pointers()[existing_idx] = item;
     lru_.OnInsert(item);
     if (old != 0) {
       lru_.Remove(old);
@@ -150,7 +151,7 @@ bool SimdBackend::SetLocked(std::string_view key, std::string_view val) {
     return false;  // cuckoo walk failed: index full
   }
   free_indices_.pop_back();
-  pointer_array_[idx] = item;
+  pointers()[idx] = item;
   lru_.OnInsert(item);
   return true;
 }
@@ -235,7 +236,7 @@ std::size_t SimdBackend::MultiSet(const std::vector<std::string_view>& keys,
       for (std::size_t j = 0; j < pend_hk.size(); ++j) {
         const std::size_t pos = pend_pos[j];
         if (pend_ok[j] != 0) {
-          pointer_array_[pend_idx[j]] = pend_item[j];
+          pointers()[pend_idx[j]] = pend_item[j];
           lru_.OnInsert(pend_item[j]);
           if (ok != nullptr) (*ok)[pos] = 1;
           ++stored;
@@ -262,7 +263,7 @@ bool SimdBackend::Get(std::string_view key, std::string* val) {
   const std::uint32_t hk = HashKey32(key, h64);
   std::uint32_t idx = 0;
   if (!table_->Find(hk, &idx)) return false;
-  const std::uint64_t item = pointer_array_[idx];
+  const std::uint64_t item = pointers()[idx];
   if (item == 0 || !ItemKeyEquals(item, key)) return false;
   ClockLru::OnAccess(item);
   if (val != nullptr) *val = std::string(ItemVal(item));
@@ -278,9 +279,15 @@ std::size_t SimdBackend::MultiGet(const std::vector<std::string_view>& keys,
   found->resize(n);
   handles->resize(n);
 
+  // Per-thread scratch (MultiGet runs concurrently from many threads): a
+  // steady stream of batches makes no heap allocations here.
+  thread_local std::vector<std::uint32_t> hash_keys;
+  thread_local std::vector<std::uint32_t> indices;
+  hash_keys.resize(n);
+  indices.resize(n);
+
   // Stage 1: derive the 32-bit hash keys (pre-processing work the paper
   // counts inside the lookup phase for all designs alike).
-  std::vector<std::uint32_t> hash_keys(n);
   for (std::size_t i = 0; i < n; ++i) {
     hash_keys[i] =
         HashKey32(keys[i], HashBytes(keys[i].data(), keys[i].size()));
@@ -290,76 +297,105 @@ std::size_t SimdBackend::MultiGet(const std::vector<std::string_view>& keys,
   // the prefetch pipeline so the candidate index-table buckets stream into
   // cache ahead of the compare kernel. The sharded store partitions the
   // batch by shard and validates each shard's write epoch around the
-  // kernel call; with one shard it is a pass-through.
-  std::vector<std::uint32_t> indices(n);
-  const std::uint64_t raw_hits = table_->BatchLookup(
+  // kernel call; with one shard it is a pass-through. A miss leaves index
+  // 0, whose pointer-array entry is always 0.
+  table_->BatchLookup(
       [this](const TableView& view, const std::uint32_t* k, std::uint32_t* v,
              std::uint8_t* f, std::size_t m) {
         return PipelinedLookup(*kernel_, view, ProbeBatch::Of(k, v, f, m),
                                pipeline_);
       },
       hash_keys.data(), indices.data(), found->data(), n);
-  (void)raw_hits;
 
   // Stage 3: pointer dereference + full-key verification (the non-SIMD key
-  // matching step Section VI-B identifies as the residual cost). Each hit
+  // matching step Section VI-B identifies as the residual cost). Each key
   // chases two dependent pointers (pointer-array entry, then the item
-  // record); prefetch each level across the whole batch before touching it
-  // so the misses overlap instead of serializing per key.
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((*found)[i]) __builtin_prefetch(&pointer_array_[indices[i]], 0, 1);
+  // record), pipelined as a rolling two-stage prefetch stream like the
+  // index probe: the entry of key i+2D is prefetched, the entry of key i+D
+  // is loaded and its item prefetched, then key i is verified.
+  const std::uint64_t* ptrs = pointers();
+  std::uint64_t* items = handles->data();
+  constexpr std::size_t kD = kPrefetchDistance;
+  const auto load_entry = [&](std::size_t j) {
+    items[j] = ptrs[indices[j]];
+    if (items[j] != 0) {
+      __builtin_prefetch(reinterpret_cast<const void*>(items[j]), 0, 1);
+    }
+  };
+  for (std::size_t j = 0; j < std::min(n, 2 * kD); ++j) {
+    __builtin_prefetch(&ptrs[indices[j]], 0, 1);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t item = (*found)[i] ? pointer_array_[indices[i]] : 0;
-    (*handles)[i] = item;
-    if (item != 0) __builtin_prefetch(reinterpret_cast<const void*>(item), 0, 1);
-  }
-  const unsigned nshards = table_->num_shards();
-  std::vector<std::uint64_t> tally(nshards * std::size_t{3}, 0);
+  for (std::size_t j = 0; j < std::min(n, kD); ++j) load_entry(j);
+
   std::size_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t item = (*handles)[i];
+    if (i + 2 * kD < n) __builtin_prefetch(&ptrs[indices[i + 2 * kD]], 0, 1);
+    if (i + kD < n) load_entry(i + kD);
+    std::uint64_t item = items[i];
     if (item != 0 && !ItemKeyEquals(item, keys[i])) {
-      item = 0;  // tag/hash false positive
+      item = 0;  // hash-key false positive
     }
-    (*handles)[i] = item;
-    const std::uint32_t s = ShardedTable32::ShardOf(hash_keys[i], nshards);
+    items[i] = item;
     if (item != 0) {
       (*vals)[i] = ItemVal(item);
       (*found)[i] = 1;
       ++hits;
-      ++tally[s * 3];
-      // Stash attribution: a hit whose hash key currently sits in the
-      // shard's overflow stash was served by the stash post-pass, not a
-      // bucket probe. Racy-read tolerant (monitoring only).
-      const TableStore& store = table_->shard(s).table().store();
-      const unsigned stash_n = store.stash_count();
-      for (unsigned e = 0; e < stash_n; ++e) {
-        if (store.stash_at(e).key == hash_keys[i]) {
-          ++tally[s * 3 + 2];
-          break;
-        }
-      }
     } else {
       (*vals)[i] = {};
       (*found)[i] = 0;
-      ++tally[s * 3 + 1];
     }
   }
-  for (unsigned s = 0; s < nshards; ++s) {
-    if (tally[s * 3]) {
-      shard_hits_[s].fetch_add(tally[s * 3], std::memory_order_relaxed);
-    }
-    if (tally[s * 3 + 1]) {
-      shard_misses_[s].fetch_add(tally[s * 3 + 1],
-                                 std::memory_order_relaxed);
-    }
-    if (tally[s * 3 + 2]) {
-      shard_stash_hits_[s].fetch_add(tally[s * 3 + 2],
-                                     std::memory_order_relaxed);
-    }
-  }
+  CountShardOutcomes(hash_keys.data(), found->data(), n, hits);
   return hits;
+}
+
+void SimdBackend::CountShardOutcomes(const std::uint32_t* hash_keys,
+                                     const std::uint8_t* found,
+                                     std::size_t n, std::size_t hits) {
+  const unsigned nshards = table_->num_shards();
+  const auto add = [](std::atomic<std::uint64_t>& cell, std::uint64_t v) {
+    if (v != 0) cell.fetch_add(v, std::memory_order_relaxed);
+  };
+  // Per-shard hits/misses: one shard needs no routing.
+  if (nshards == 1) {
+    add(shard_hits_[0], hits);
+    add(shard_misses_[0], n - hits);
+  } else {
+    thread_local std::vector<std::uint64_t> tally;
+    tally.assign(nshards * std::size_t{2}, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t s = ShardedTable32::ShardOf(hash_keys[i], nshards);
+      ++tally[s * 2 + (found[i] != 0 ? 0 : 1)];
+    }
+    for (unsigned s = 0; s < nshards; ++s) {
+      add(shard_hits_[s], tally[s * 2]);
+      add(shard_misses_[s], tally[s * 2 + 1]);
+    }
+  }
+  // Stash attribution: a hit whose hash key currently sits in its shard's
+  // overflow stash was served by the stash post-pass, not a bucket probe.
+  // Only shards with a non-empty stash are scanned. Racy-read tolerant
+  // (monitoring only).
+  for (unsigned s = 0; s < nshards; ++s) {
+    const TableStore& store = table_->shard(s).table().store();
+    const unsigned stash_n = store.stash_count();
+    if (stash_n == 0) continue;
+    std::uint64_t stash_hits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (found[i] == 0 ||
+          (nshards > 1 &&
+           ShardedTable32::ShardOf(hash_keys[i], nshards) != s)) {
+        continue;
+      }
+      for (unsigned e = 0; e < stash_n; ++e) {
+        if (store.stash_at(e).key == hash_keys[i]) {
+          ++stash_hits;
+          break;
+        }
+      }
+    }
+    add(shard_stash_hits_[s], stash_hits);
+  }
 }
 
 std::vector<ShardProbeCounters> SimdBackend::ShardProbeStats() const {
@@ -379,10 +415,10 @@ bool SimdBackend::Erase(std::string_view key) {
   const std::uint32_t hk = HashKey32(key, h64);
   std::uint32_t idx = 0;
   if (!table_->Find(hk, &idx)) return false;
-  const std::uint64_t item = pointer_array_[idx];
+  const std::uint64_t item = pointers()[idx];
   if (item == 0 || !ItemKeyEquals(item, key)) return false;
   table_->Erase(hk);
-  pointer_array_[idx] = 0;
+  pointers()[idx] = 0;
   free_indices_.push_back(idx);
   lru_.Remove(item);
   slab_.Free(item, ItemBytes(key.size(), ItemVal(item).size()));

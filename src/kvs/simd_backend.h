@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/aligned_buffer.h"
 #include "ht/sharded_table.h"
 #include "kvs/backend.h"
 #include "kvs/clock_lru.h"
@@ -40,8 +41,8 @@ class SimdBackend : public KvBackend {
     std::string display_name;  // e.g. "Bucket-Cuckoo-Hor(AVX-256)"
     // Prefetch schedule for the Multi-Get index lookup (stage 2). Multi-Get
     // batches are the textbook case for hiding index-table DRAM latency;
-    // AMAC fuses into a per-key interleave on the scalar twin and degrades
-    // to a windowed slice schedule on SIMD kernels.
+    // AMAC fuses into a per-key interleave on the scalar and horizontal
+    // kernels and degrades to a windowed slice schedule on vertical ones.
     PipelineConfig pipeline{PrefetchPolicy::kAmac, /*group_size=*/32,
                             /*amac_groups=*/4};
   };
@@ -78,6 +79,8 @@ class SimdBackend : public KvBackend {
   // therefore rejected (expected ~ n^2 / 2^33; tracked for transparency).
   std::uint64_t hash_collisions() const { return hash_collisions_; }
   const KernelInfo& kernel() const { return *kernel_; }
+  // The 32-bit hash-key index (read-only; for tests and diagnostics).
+  const ShardedTable32& index() const { return *table_; }
 
  private:
   // 32-bit hash key derived from the full key (never the empty sentinel).
@@ -85,6 +88,11 @@ class SimdBackend : public KvBackend {
   // Set body; caller holds write_mu_.
   bool SetLocked(std::string_view key, std::string_view val);
   bool EvictOne();
+  // MultiGet bookkeeping: per-shard hits/misses of one batch, and stash
+  // attribution for the shards whose stash is non-empty.
+  void CountShardOutcomes(const std::uint32_t* hash_keys,
+                          const std::uint8_t* found, std::size_t n,
+                          std::size_t hits);
 
   std::string name_;
   std::unique_ptr<ShardedTable32> table_;
@@ -92,8 +100,12 @@ class SimdBackend : public KvBackend {
   const KernelInfo* kernel_ = nullptr;
   SlabAllocator slab_;
   ClockLru lru_;
-  // payload -> item handle; index 0 is reserved so payload 0 stays invalid.
-  std::vector<std::uint64_t> pointer_array_;
+  // payload -> item handle; index 0 is reserved and stays 0, so payload 0
+  // (what the kernel writes for a miss) dereferences to "absent". An
+  // AlignedBuffer so the array sits on huge pages: Multi-Get reads it at
+  // random, one entry per probed key.
+  AlignedBuffer pointer_array_;
+  std::uint64_t* pointers() { return pointer_array_.as<std::uint64_t>(); }
   std::vector<std::uint32_t> free_indices_;
   std::mutex write_mu_;
   std::uint64_t hash_collisions_ = 0;

@@ -1,5 +1,7 @@
 #include "kvs/slab.h"
 
+#include <algorithm>
+
 namespace simdht {
 
 SlabAllocator::SlabAllocator(std::size_t memory_limit)
@@ -35,9 +37,21 @@ std::size_t SlabAllocator::ChunkSizeFor(std::size_t bytes) const {
 
 bool SlabAllocator::AssignFreshPage(SizeClass* size_class) {
   if (allocated_pages_bytes() + kPageBytes > memory_limit_) return false;
-  pages_.emplace_back(kPageBytes);
-  size_class->carve_page = pages_.size() - 1;
+  if (arena_pages_left_ == 0) {
+    const std::size_t pages_allowed = memory_limit_ / kPageBytes - pages_;
+    arena_pages_left_ = std::min(kArenaBytes / kPageBytes, pages_allowed);
+    // Never below one huge page, so even a short last arena is a 2 MiB-
+    // aligned mapping (its pages stay 1 MiB-aligned); the bytes past the
+    // pages it hands out are never touched.
+    arenas_.emplace_back(
+        std::max(arena_pages_left_ * kPageBytes, kHugePageBytes));
+    arena_next_ = arenas_.back().data();
+  }
+  size_class->carve_page = arena_next_;
   size_class->carve_offset = 0;
+  arena_next_ += kPageBytes;
+  --arena_pages_left_;
+  ++pages_;
   return true;
 }
 
@@ -53,12 +67,12 @@ std::uint64_t SlabAllocator::Alloc(std::size_t bytes) {
     return handle;
   }
 
-  if (sc.carve_page == SIZE_MAX ||
+  if (sc.carve_page == nullptr ||
       sc.carve_offset + sc.chunk_size > kPageBytes) {
     if (!AssignFreshPage(&sc)) return 0;
   }
-  const std::uint64_t handle = reinterpret_cast<std::uint64_t>(
-      pages_[sc.carve_page].data() + sc.carve_offset);
+  const std::uint64_t handle =
+      reinterpret_cast<std::uint64_t>(sc.carve_page + sc.carve_offset);
   sc.carve_offset += sc.chunk_size;
   ++live_chunks_;
   return handle;

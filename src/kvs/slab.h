@@ -5,6 +5,14 @@
 // Allocation picks the smallest class that fits, pops the class free list or
 // carves a new chunk; Free pushes back onto the class free list. The backend
 // uses Capacity pressure + CLOCK-LRU to decide evictions.
+//
+// Pages are handed out in order from 32 MiB AlignedBuffer arenas, which are
+// 2 MiB-aligned mappings on huge pages where the system provides them: a
+// Multi-Get dereferences items at random, so on 4 KiB pages every item
+// touch is also a dTLB miss (and drops the prefetch issued for it). The
+// `memory_limit` accounting stays page-granular — an arena is only address
+// space until its pages are carved, and the last arena is cut short so the
+// pages it can ever hand out never pass the limit.
 #ifndef SIMDHT_KVS_SLAB_H_
 #define SIMDHT_KVS_SLAB_H_
 
@@ -18,6 +26,7 @@ namespace simdht {
 class SlabAllocator {
  public:
   static constexpr std::size_t kPageBytes = 1 << 20;
+  static constexpr std::size_t kArenaBytes = std::size_t{32} << 20;
   static constexpr std::size_t kMinChunk = 64;
   static constexpr double kGrowthFactor = 1.25;
 
@@ -40,9 +49,7 @@ class SlabAllocator {
   std::size_t ChunkSizeFor(std::size_t bytes) const;
 
   std::size_t memory_limit() const { return memory_limit_; }
-  std::size_t allocated_pages_bytes() const {
-    return pages_.size() * kPageBytes;
-  }
+  std::size_t allocated_pages_bytes() const { return pages_ * kPageBytes; }
   std::size_t live_chunks() const { return live_chunks_; }
   std::size_t num_classes() const { return classes_.size(); }
 
@@ -50,8 +57,8 @@ class SlabAllocator {
   struct SizeClass {
     std::size_t chunk_size = 0;
     std::vector<std::uint64_t> free_list;
-    // Current partially-carved page (index into pages_), or none.
-    std::size_t carve_page = SIZE_MAX;
+    // Current partially-carved page, or null.
+    std::uint8_t* carve_page = nullptr;
     std::size_t carve_offset = 0;
   };
 
@@ -60,7 +67,10 @@ class SlabAllocator {
 
   std::size_t memory_limit_;
   std::vector<SizeClass> classes_;
-  std::vector<AlignedBuffer> pages_;
+  std::vector<AlignedBuffer> arenas_;
+  std::size_t pages_ = 0;             // pages handed to size classes
+  std::uint8_t* arena_next_ = nullptr;  // next uncarved page of the arena
+  std::size_t arena_pages_left_ = 0;    // pages arenas_.back() may still give
   std::size_t live_chunks_ = 0;
 };
 

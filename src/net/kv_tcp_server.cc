@@ -2,9 +2,10 @@
 
 #include <sys/epoll.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <set>
+#include <span>
 
 #include "common/timer.h"
 #include "obs/prometheus.h"
@@ -181,10 +182,9 @@ void KvTcpServer::OnConnEvent(int fd, std::uint32_t ready) {
 }
 
 void KvTcpServer::DrainFrames(Conn* conn) {
-  Buffer frame;
   std::string err;
   for (;;) {
-    switch (conn->connection->NextFrame(&frame, &err)) {
+    switch (conn->connection->NextFrame(&frame_, &err)) {
       case FrameAssembler::Result::kNeedMore:
         return;
       case FrameAssembler::Result::kError:
@@ -192,9 +192,9 @@ void KvTcpServer::DrainFrames(Conn* conn) {
         CloseConn(conn->connection->fd());
         return;
       case FrameAssembler::Result::kFrame:
-        HandleFrame(conn, frame);
+        HandleFrame(conn, frame_);
         if (conn->dead || stop_.load(std::memory_order_relaxed)) return;
-        if (batch_keys_.size() >= options_.max_batch_keys) FlushBatch();
+        if (batch_key_ends_.size() >= options_.max_batch_keys) FlushBatch();
         break;
     }
   }
@@ -230,26 +230,28 @@ void KvTcpServer::HandleFrame(Conn* conn, const Buffer& frame) {
     case Opcode::kTracedMultiGet: {
       const double rx_us = Timeline::Global().NowUs();
       const std::uint64_t t0 = ReadTsc();
-      MultiGetRequest req;
       TraceContext trace;
       if (op == Opcode::kTracedMultiGet) {
-        if (!DecodeTracedMultiGetRequest(frame, &req, &trace, &err)) break;
+        if (!DecodeTracedMultiGetRequest(frame, &mget_req_, &trace, &err)) {
+          break;
+        }
       } else {
-        if (!DecodeMultiGetRequest(frame, &req, &err)) break;
+        if (!DecodeMultiGetRequest(frame, &mget_req_, &err)) break;
       }
       PendingMget p;
       p.fd = conn->connection->fd();
       p.conn_id = conn->connection->id();
-      p.first_key = batch_keys_.size();
-      p.num_keys = req.keys.size();
+      p.first_key = batch_key_ends_.size();
+      p.num_keys = mget_req_.keys.size();
       p.traced = op == Opcode::kTracedMultiGet;
       p.sampled = trace.sampled;
       p.trace_id = trace.trace_id;
       p.rx_us = rx_us;
       // Copy keys out: the stream buffer the views point into is recycled
       // before the batch flush.
-      for (const std::string_view key : req.keys) {
-        batch_keys_.emplace_back(key);
+      for (const std::string_view key : mget_req_.keys) {
+        batch_key_bytes_.append(key);
+        batch_key_ends_.push_back(batch_key_bytes_.size());
       }
       pending_.push_back(p);
       const std::uint64_t t1 = ReadTsc();
@@ -294,9 +296,15 @@ void KvTcpServer::FlushBatch() {
   for (const PendingMget& p : pending_) any_sampled |= p.sampled;
   const bool tracing = any_sampled && tl.enabled();
 
-  scratch_views_.clear();
-  scratch_views_.reserve(batch_keys_.size());
-  for (const std::string& key : batch_keys_) scratch_views_.push_back(key);
+  // Views into the key arena, built now that it no longer grows.
+  const std::size_t batch_keys = batch_key_ends_.size();
+  scratch_views_.resize(batch_keys);
+  std::size_t key_begin = 0;
+  for (std::size_t k = 0; k < batch_keys; ++k) {
+    scratch_views_[k] = std::string_view(batch_key_bytes_)
+                            .substr(key_begin, batch_key_ends_[k] - key_begin);
+    key_begin = batch_key_ends_[k];
+  }
 
   // Phase 2: one index probe over the combined batch — keys from every
   // connection that spoke this cycle go down the SIMD pipeline together.
@@ -307,49 +315,51 @@ void KvTcpServer::FlushBatch() {
   const std::uint64_t t1 = ReadTsc();
   const double us1 = tracing ? tl.NowUs() : 0.0;
 
-  // Phase 3: freshness updates + per-connection response build.
+  // Phase 3: freshness updates + per-connection response build, each
+  // request encoded straight from its slice of the batch results.
   backend_->TouchBatch(scratch_handles_);
   std::uint64_t hits = 0;
   for (const std::uint8_t f : scratch_found_) hits += f;
 
-  std::set<std::uint64_t> batch_conns;
-  std::vector<std::string_view> entry_vals;
-  std::vector<std::uint8_t> entry_found;
+  scratch_conn_ids_.clear();
   for (const PendingMget& p : pending_) {
-    batch_conns.insert(p.conn_id);
+    scratch_conn_ids_.push_back(p.conn_id);
     const auto it = conns_.find(p.fd);
     if (it == conns_.end() || it->second->dead ||
         it->second->connection->id() != p.conn_id) {
       continue;  // connection died between parse and flush
     }
-    const auto vals_begin =
-        scratch_vals_.begin() + static_cast<std::ptrdiff_t>(p.first_key);
-    const auto found_begin =
-        scratch_found_.begin() + static_cast<std::ptrdiff_t>(p.first_key);
-    entry_vals.assign(vals_begin,
-                      vals_begin + static_cast<std::ptrdiff_t>(p.num_keys));
-    entry_found.assign(found_begin,
-                       found_begin + static_cast<std::ptrdiff_t>(p.num_keys));
+    const auto vals = std::span<const std::string_view>(scratch_vals_)
+                          .subspan(p.first_key, p.num_keys);
+    const auto found = std::span<const std::uint8_t>(scratch_found_)
+                           .subspan(p.first_key, p.num_keys);
     if (p.traced) {
       // tx_us is stamped at encode so the client's midpoint estimate
       // brackets the server-side work actually done for this request.
-      EncodeTracedMultiGetResponse(entry_vals, entry_found, p.trace_id,
+      EncodeTracedMultiGetResponse(vals, found, p.trace_id,
                                    ServerTiming{p.rx_us, tl.NowUs()},
                                    &response_);
     } else {
-      EncodeMultiGetResponse(entry_vals, entry_found, &response_);
+      EncodeMultiGetResponse(vals, found, &response_);
     }
     it->second->connection->QueueFrame(response_);
   }
+  std::sort(scratch_conn_ids_.begin(), scratch_conn_ids_.end());
+  const std::size_t batch_conns = static_cast<std::size_t>(
+      std::unique(scratch_conn_ids_.begin(), scratch_conn_ids_.end()) -
+      scratch_conn_ids_.begin());
   const std::uint64_t t2 = ReadTsc();
   const double us2 = tracing ? tl.NowUs() : 0.0;
 
   // Transport: one coalesced send per connection in the batch.
-  std::set<int> flushed;
+  ++flush_seq_;
   for (const PendingMget& p : pending_) {
-    if (!flushed.insert(p.fd).second) continue;
     const auto it = conns_.find(p.fd);
-    if (it == conns_.end() || it->second->dead) continue;
+    if (it == conns_.end() || it->second->dead ||
+        it->second->flushed_in == flush_seq_) {
+      continue;
+    }
+    it->second->flushed_in = flush_seq_;
     std::string err;
     if (!it->second->connection->FlushWrites(&err)) {
       CloseConn(p.fd);
@@ -368,20 +378,20 @@ void KvTcpServer::FlushBatch() {
   m->Record(ids_.value_copy_ns, to_ns(t2 - t1));
   m->Record(ids_.transport_ns, to_ns(t3 - t2));
   m->Add(ids_.batches, 1);
-  m->Add(ids_.keys, batch_keys_.size());
+  m->Add(ids_.keys, batch_keys);
   m->Add(ids_.hits, hits);
-  m->Record(ids_.batch_connections, batch_conns.size());
-  m->Record(ids_.batch_keys, batch_keys_.size());
+  m->Record(ids_.batch_connections, batch_conns);
+  m->Record(ids_.batch_keys, batch_keys);
 
   windows_->index_probe_ns.Record(to_ns(t1 - t0));
   windows_->value_copy_ns.Record(to_ns(t2 - t1));
   windows_->transport_ns.Record(to_ns(t3 - t2));
-  windows_->batch_connections.Record(batch_conns.size());
-  windows_->batch_keys.Record(batch_keys_.size());
+  windows_->batch_connections.Record(batch_conns);
+  windows_->batch_keys.Record(batch_keys);
   // Per-flush totals: sum_rate_per_s of these windows gives requests/s,
   // keys/s, hits/s over the rolling window.
   windows_->requests.Record(pending_.size());
-  windows_->keys.Record(batch_keys_.size());
+  windows_->keys.Record(batch_keys);
   windows_->hits.Record(hits);
 
   if (tracing) {
@@ -389,9 +399,9 @@ void KvTcpServer::FlushBatch() {
     // shows how much company each sampled request had in its batch.
     TimelineArgs occupancy{
         TimelineArg::Num("batch_connections",
-                         static_cast<double>(batch_conns.size())),
+                         static_cast<double>(batch_conns)),
         TimelineArg::Num("batch_keys",
-                         static_cast<double>(batch_keys_.size()))};
+                         static_cast<double>(batch_keys))};
     tl.RecordSpan("server", "index_probe", us0, us1, occupancy);
     tl.RecordSpan("server", "value_copy", us1, us2, occupancy);
     tl.RecordSpan("server", "transport", us2, us3, occupancy);
@@ -402,12 +412,13 @@ void KvTcpServer::FlushBatch() {
           {TimelineArg::Str("trace_id", TraceIdHex(p.trace_id)),
            TimelineArg::Num("keys", static_cast<double>(p.num_keys)),
            TimelineArg::Num("batch_connections",
-                            static_cast<double>(batch_conns.size()))});
+                            static_cast<double>(batch_conns))});
     }
   }
 
   pending_.clear();
-  batch_keys_.clear();
+  batch_key_bytes_.clear();
+  batch_key_ends_.clear();
 }
 
 void KvTcpServer::FlushIdleWrites() {

@@ -14,8 +14,9 @@
 //
 // Request handling per frame:
 //   SET       executed inline (preload path), response queued
-//   MGET      parsed (keys copied out of the stream buffer) and appended to
-//             the pending batch; responses are built at flush
+//   MGET      parsed (keys copied out of the stream buffer into one byte
+//             arena) and appended to the pending batch; responses are
+//             built at flush, each straight from its slice of the batch
 //   STATS     responds with a named-double snapshot of the serving metrics
 //             (per-phase percentiles + batch occupancy), so a remote load
 //             generator can embed server-side numbers in its report
@@ -140,9 +141,10 @@ class KvTcpServer {
     std::unique_ptr<Connection> connection;
     std::uint32_t epoll_mask = 0;
     bool dead = false;
+    std::uint64_t flushed_in = 0;  // last flush_seq_ that sent its writes
   };
-  // One MGET frame awaiting the batch flush. Keys live in batch_keys_
-  // (owned copies; the stream buffer is recycled before the flush).
+  // One MGET frame awaiting the batch flush. Keys live in the batch key
+  // arena (owned copies; the stream buffer is recycled before the flush).
   struct PendingMget {
     int fd;
     std::uint64_t conn_id;
@@ -202,11 +204,17 @@ class KvTcpServer {
   std::vector<std::unique_ptr<Conn>> dead_conns_;  // closed end-of-cycle
   std::uint64_t next_conn_id_ = 1;
 
-  // Pending cross-connection batch (reset at every flush).
+  // Pending cross-connection batch (reset at every flush). Key k of the
+  // batch is batch_key_bytes_[batch_key_ends_[k-1], batch_key_ends_[k]).
   std::vector<PendingMget> pending_;
-  std::vector<std::string> batch_keys_;
+  std::string batch_key_bytes_;
+  std::vector<std::size_t> batch_key_ends_;
+  std::uint64_t flush_seq_ = 0;
 
-  // Flush scratch (reused across batches).
+  // Parse and flush scratch (reused across frames and batches).
+  Buffer frame_;
+  MultiGetRequest mget_req_;
+  std::vector<std::uint64_t> scratch_conn_ids_;
   std::vector<std::string_view> scratch_views_;
   std::vector<std::string_view> scratch_vals_;
   std::vector<std::uint8_t> scratch_found_;

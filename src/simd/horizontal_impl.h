@@ -21,6 +21,7 @@
 
 #include "common/compiler.h"
 #include "simd/kernel.h"
+#include "simd/prefetch.h"
 
 namespace simdht {
 namespace detail {
@@ -75,11 +76,13 @@ std::uint64_t HorizontalLookupImpl(const TableView& view,
   const unsigned step = buckets_per_vec >= 2 ? 2 : 1;
   const unsigned groups = (ways + step - 1) / step;
 
-  // Pure compare loop. Latency hiding for out-of-cache tables is the
-  // pipeline engine's job (simd/pipeline.h): it prefetches candidate
-  // buckets a whole group ahead before handing the slice to this kernel.
+  // Fused prefetch interleave (batch.prefetch_distance, set by the
+  // pipeline engine for out-of-L2 tables); with distance 0 this is the bare
+  // compare loop.
+  const PrefetchStream<K> prefetch(view, keys, n, batch.prefetch_distance);
   std::uint64_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    prefetch.Before(i);
     const K key = keys[i];
     const auto keyvec = Ops::Splat(key);
     std::uint8_t hit = 0;

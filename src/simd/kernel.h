@@ -58,6 +58,12 @@ struct ProbeBatch {
   unsigned key_bits = 0;
   unsigned val_bits = 0;
   ProbeBatchStats* stats = nullptr;  // optional; see ProbeBatchStats
+  // Software-prefetch distance in keys, honoured by the cuckoo scalar and
+  // horizontal kernels: after priming keys [0, D) the compare loop
+  // prefetches key i+D's candidate buckets right before it probes key i,
+  // a steady per-key miss stream D keys deep. 0 = no prefetching. Set by
+  // PipelinedLookup (simd/pipeline.h); every other kernel ignores it.
+  unsigned prefetch_distance = 0;
 
   // Builds a typed batch view over caller-owned spans.
   template <typename K, typename V>

@@ -1,7 +1,8 @@
 #include "simd/pipeline.h"
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstring>
 
 #include "simd/prefetch.h"
 
@@ -48,88 +49,15 @@ std::uint64_t RunPipeline(const KernelInfo& kernel, const TableView& view,
   return found;
 }
 
-// Fused AMAC driver for the scalar probe loop.
-//
-// AMAC keeps a window of probes in flight, switching to another probe's
-// work between memory touches. A cuckoo/BCHT probe has a one-hop dependent
-// chain (hash -> candidate buckets, both computable from the key alone), so
-// the state machine degenerates to a rotating window of `window` in-flight
-// probes: issue both candidate-bucket prefetches for the probe entering the
-// window, then complete the probe leaving it. That per-key interleave is
-// what group bursts cannot express — bursts overrun the core's outstanding-
-// miss buffers and get dropped, while one probe's worth of prefetch per
-// compare step keeps a steady `window`-deep stream of misses in flight.
-//
-// Fusing requires owning the compare loop, so this path exists only for the
-// scalar twin; its loop below replicates ScalarLookup (scalar_kernels.cc)
-// exactly — the equivalence suite (tests/simd/test_pipeline.cc) holds it
-// bit-identical to the kernel's direct output. SIMD kernels keep their
-// vector compare loops and take the windowed slice schedule instead.
-template <typename K, typename V>
-std::uint64_t RunFusedAmac(const TableView& view, const ProbeBatch& batch,
-                           std::size_t window) {
-  const K* keys = batch.keys_as<K>();
-  auto* vals = batch.vals_as<V>();
-  std::uint8_t* found = batch.found;
-  const std::size_t n = batch.size;
-  const unsigned ways = view.spec.ways;
-  const unsigned slots = view.spec.slots;
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + window < n) {
-      PrefetchCandidateBuckets<K>(view, keys[i + window]);
-    }
-    const K key = keys[i];
-    V value = 0;
-    std::uint8_t hit = 0;
-    for (unsigned way = 0; way < ways && !hit; ++way) {
-      const std::uint32_t b = view.hash.template Bucket<K>(way, key);
-      for (unsigned s = 0; s < slots; ++s) {
-        K stored;
-        std::memcpy(&stored, view.key_ptr(b, s), sizeof(K));
-        if (stored == key) {
-          std::memcpy(&value, view.val_ptr(b, s), sizeof(V));
-          hit = 1;
-          break;
-        }
-      }
-    }
-    vals[i] = value;
-    found[i] = hit;
-    hits += hit;
-  }
-  // The fused loop owns its own compare path (it never goes through
-  // KernelInfo::Lookup), so it probes the overflow stash itself.
-  if (view.stash_count != 0) {
-    hits += ProbeStash(view, batch.keys, batch.vals, batch.found, batch.size);
-  }
-  if (batch.stats != nullptr) {
-    batch.stats->lookups += n;
-    batch.stats->hits += hits;
-    batch.stats->prefetch_groups += (n + window - 1) / window;
-  }
-  return hits;
-}
-
-// (key_bits, val_bits) dispatch for the fused driver; returns false when no
-// instantiation covers the combination (caller uses the slice schedule).
-bool DispatchFusedAmac(const TableView& view, const ProbeBatch& batch,
-                       std::size_t window, std::uint64_t* hits) {
-  const unsigned kb = view.spec.key_bits;
-  const unsigned vb = view.spec.val_bits;
-  if (kb == 32 && vb == 32) {
-    *hits = RunFusedAmac<std::uint32_t, std::uint32_t>(view, batch, window);
-  } else if (kb == 64 && vb == 64) {
-    *hits = RunFusedAmac<std::uint64_t, std::uint64_t>(view, batch, window);
-  } else if (kb == 16 && vb == 32) {
-    *hits = RunFusedAmac<std::uint16_t, std::uint32_t>(view, batch, window);
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
+
+std::size_t CoreL2Bytes() {
+  static const std::size_t bytes = [] {
+    const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    return l2 > 0 ? static_cast<std::size_t>(l2) : std::size_t{1} << 20;
+  }();
+  return bytes;
+}
 
 const char* PrefetchPolicyName(PrefetchPolicy policy) {
   switch (policy) {
@@ -194,21 +122,27 @@ std::uint64_t PipelinedLookup(const KernelInfo& kernel, const TableView& view,
     return kernel.Lookup(view, typed);
   }
 
+  // AMAC on the scalar and horizontal cuckoo kernels: the fused per-key
+  // interleave, kPrefetchDistance keys deep, run inside the kernel's own
+  // compare loop. Tables that fit the core's L2 skip prefetching, which
+  // there only adds work.
+  if (config.policy == PrefetchPolicy::kAmac &&
+      view.spec.family == TableFamily::kCuckoo &&
+      (kernel.approach == Approach::kScalar ||
+       kernel.approach == Approach::kHorizontal)) {
+    if (view.total_bytes() <= CoreL2Bytes()) return kernel.Lookup(view, typed);
+    typed.prefetch_distance = kPrefetchDistance;
+    const std::uint64_t hits = kernel.Lookup(view, typed);
+    if (typed.stats != nullptr) {
+      typed.stats->prefetch_groups +=
+          (typed.size + kPrefetchDistance - 1) / kPrefetchDistance;
+    }
+    return hits;
+  }
+
   const std::size_t group = config.group_size;
   const std::size_t depth =
       config.policy == PrefetchPolicy::kAmac ? config.amac_groups : 1;
-
-  // AMAC on the scalar twin: fully fused per-key interleave, window =
-  // amac_groups x group_size probes in flight. The fused loop replicates
-  // the *cuckoo* scalar probe, so other families (Swiss) take the slice
-  // schedule below even under kAmac.
-  if (config.policy == PrefetchPolicy::kAmac &&
-      kernel.approach == Approach::kScalar &&
-      view.spec.family == TableFamily::kCuckoo) {
-    std::uint64_t hits = 0;
-    if (DispatchFusedAmac(view, typed, group * depth, &hits)) return hits;
-  }
-
   switch (view.spec.key_bits) {
     case 16:
       return RunPipeline<std::uint16_t>(kernel, view, typed, group, depth);

@@ -2,36 +2,52 @@
 //
 // The compare kernels (scalar, horizontal, vertical) issue dependent loads:
 // hash the key, then fetch the candidate buckets. Once the table exceeds
-// the LLC every probe stalls on DRAM. The kernels themselves are pure
-// compare loops — all latency hiding lives here, as a software pipeline
-// layered over *any* registered kernel without touching its compare loop:
+// the LLC every probe stalls on DRAM. The engine decides every memory
+// schedule — a software pipeline layered over *any* registered kernel;
+// kernels at most honour the prefetch distance it hands them:
 //
 //   kGroup  Group prefetch: split the batch into mini-batches of
 //           `group_size` keys. Hash every key of group g+1 and prefetch both
 //           candidate buckets, then hand group g to the compare kernel.
 //           By the time the kernel reaches group g+1 its lines are in L2.
 //   kAmac   AMAC-style interleaving (after Kocberber et al.'s Asynchronous
-//           Memory Access Chaining): keep a window of amac_groups x
-//           group_size probes in flight. On the scalar twin the engine owns
-//           the compare loop, so the interleave is fully fused: one probe's
-//           candidate buckets are prefetched per probe completed, which
-//           keeps a steady window-deep miss stream without the bursts that
-//           overrun the core's outstanding-miss buffers. SIMD kernels keep
-//           their vector compare loops, so for them kAmac falls back to the
+//           Memory Access Chaining). A cuckoo probe's dependent chain is one
+//           hop (hash -> candidate buckets, both computable from the key),
+//           so AMAC's state machine degenerates to a rotating window: on
+//           the scalar and horizontal cuckoo kernels the interleave is
+//           fused into the kernel's own compare loop (ProbeBatch::
+//           prefetch_distance) — after a prime of kPrefetchDistance keys,
+//           key i+D's candidate buckets are prefetched right before key i
+//           is probed. One probe's worth of prefetch per compare step keeps
+//           a steady D-deep miss stream without the bursts that overrun the
+//           core's line-fill buffers. Tables that fit the core's L2 take
+//           the direct path instead. Vertical and Swiss kernels keep the
 //           windowed slice schedule (group bursts, amac_groups deep).
 //
-// Except for the fused scalar-AMAC path, the kernel sees plain ProbeBatch
-// slices, so the engine plugs in behind every kernel family registered in
-// kernel.h; results are bit-identical to the direct path in all cases.
+// Except for the fused path, the kernel sees plain ProbeBatch slices, so
+// the engine plugs in behind every kernel family registered in kernel.h;
+// results are bit-identical to the direct path in all cases.
 #ifndef SIMDHT_SIMD_PIPELINE_H_
 #define SIMDHT_SIMD_PIPELINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "simd/kernel.h"
 
 namespace simdht {
+
+// Keys between a prefetch and the probe that consumes it on the fused AMAC
+// path: deep enough to cover a DRAM round trip, shallow enough that 2 x D
+// outstanding lines stay inside the line-fill buffers. On a 64 MiB (2,4)
+// table at batch 96, D = 8, 16 and 32 measured within noise of each other
+// (micro_prefetch_pipeline); 16 sits in the middle.
+inline constexpr unsigned kPrefetchDistance = 16;
+
+// Per-core L2 size (sysconf, read once; 1 MiB when the OS does not say).
+// Tables no larger than this skip prefetching on the fused AMAC path.
+std::size_t CoreL2Bytes();
 
 // How the batch-lookup engine schedules candidate-bucket prefetches.
 enum class PrefetchPolicy : std::uint8_t {
@@ -51,8 +67,8 @@ bool ParsePrefetchPolicy(const std::string& name, PrefetchPolicy* out);
 // the prefetched lines still live in L2 when the kernel consumes them.
 struct PipelineConfig {
   PrefetchPolicy policy = PrefetchPolicy::kNone;
-  unsigned group_size = 32;  // keys per mini-batch
-  unsigned amac_groups = 4;  // mini-batches in flight (kAmac only)
+  unsigned group_size = 32;  // keys per mini-batch (slice schedules)
+  unsigned amac_groups = 4;  // mini-batches in flight (kAmac slice only)
 
   // Label suffix for design points: "direct", "group:32", "amac:4x32".
   std::string Describe() const;

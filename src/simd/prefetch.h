@@ -3,9 +3,10 @@
 // Batched lookups know the whole probe stream up front, so the candidate
 // buckets of upcoming keys can be pulled into cache while the current keys
 // are being compared — that overlap is what hides the random-access
-// latency dominating out-of-cache tables. The compare kernels themselves
-// stay schedule-free; the pipelined engine (pipeline.h) drives these
-// primitives a configurable group of keys ahead of the kernel.
+// latency dominating out-of-cache tables. The pipelined engine
+// (pipeline.h) decides the schedule: it drives these primitives a group of
+// keys ahead of a kernel, or hands the kernel a prefetch distance that the
+// kernel's compare loop runs through PrefetchStream.
 #ifndef SIMDHT_SIMD_PREFETCH_H_
 #define SIMDHT_SIMD_PREFETCH_H_
 
@@ -40,6 +41,35 @@ SIMDHT_ALWAYS_INLINE void PrefetchCandidateBuckets(const TableView& view,
     }
   }
 }
+
+// The fused per-key prefetch interleave a kernel runs for
+// ProbeBatch::prefetch_distance = D: construction primes keys [0, D), and
+// Before(i), called right before key i is probed, prefetches key i+D. With
+// D = 0 both do nothing.
+template <typename K>
+class PrefetchStream {
+ public:
+  PrefetchStream(const TableView& view, const K* keys, std::size_t n,
+                 std::size_t distance)
+      : view_(view), keys_(keys), distance_(distance),
+        end_(distance != 0 ? n : 0) {
+    for (std::size_t i = 0; i < distance && i < n; ++i) {
+      PrefetchCandidateBuckets<K>(view_, keys_[i]);
+    }
+  }
+
+  SIMDHT_ALWAYS_INLINE void Before(std::size_t i) const {
+    if (i + distance_ < end_) {
+      PrefetchCandidateBuckets<K>(view_, keys_[i + distance_]);
+    }
+  }
+
+ private:
+  const TableView& view_;
+  const K* keys_;
+  std::size_t distance_;
+  std::size_t end_;  // 0 when not prefetching, so Before() never fires
+};
 
 }  // namespace simdht
 

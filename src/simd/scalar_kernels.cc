@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "simd/kernel.h"
+#include "simd/prefetch.h"
 
 namespace simdht {
 namespace {
@@ -17,12 +18,15 @@ std::uint64_t ScalarLookup(const TableView& view, const ProbeBatch& batch) {
   std::uint8_t* found = batch.found;
   const unsigned ways = view.spec.ways;
   const unsigned slots = view.spec.slots;
+  const std::size_t n = batch.size;
   std::uint64_t hits = 0;
 
-  // Pure compare loop: the memory schedule (candidate-bucket prefetching)
-  // is owned by the pipeline engine (simd/pipeline.h), not the kernel, so
-  // scalar and SIMD variants see the identical schedule for any policy.
-  for (std::size_t i = 0; i < batch.size; ++i) {
+  // The same fused prefetch interleave as the horizontal kernels: the
+  // pipeline engine picks the distance, so scalar and SIMD variants see
+  // the identical memory schedule for any policy.
+  const PrefetchStream<K> prefetch(view, keys, n, batch.prefetch_distance);
+  for (std::size_t i = 0; i < n; ++i) {
+    prefetch.Before(i);
     const K key = keys[i];
     V value = 0;
     std::uint8_t hit = 0;

@@ -141,7 +141,9 @@ TEST(InsertPath, StashedKeysVisibleThroughPipelineAndFusedAmac) {
   PipelineConfig configs[2];
   configs[0].policy = PrefetchPolicy::kGroup;
   configs[0].group_size = 8;
-  configs[1].policy = PrefetchPolicy::kAmac;  // fused scalar AMAC path
+  // AMAC: this small table is under the L2 gate, so the direct path (the
+  // fused path is covered in tests/simd/test_pipeline.cc).
+  configs[1].policy = PrefetchPolicy::kAmac;
   configs[1].group_size = 4;
   configs[1].amac_groups = 2;
   for (const PipelineConfig& config : configs) {

@@ -3,34 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <unordered_map>
 
-#include "hash/hash_family.h"
+#include "colliding_keys.h"
 #include "kvs/loadgen.h"
 #include "kvs/simd_backend.h"
 
 namespace simdht {
 namespace {
-
-// Finds two distinct key strings with colliding 32-bit hash keys by a
-// birthday search (~2^17 candidates make a collision in the 2^32 space
-// overwhelmingly likely; we search deterministically until found).
-bool FindCollidingPair(std::string* a, std::string* b) {
-  std::unordered_map<std::uint32_t, std::string> seen;
-  for (std::size_t i = 0; i < (1u << 19); ++i) {
-    std::string key = "collide:" + std::to_string(i);
-    auto hk = static_cast<std::uint32_t>(
-        HashBytes(key.data(), key.size()) >> 32);
-    if (hk == 0) hk = 1;
-    auto [it, inserted] = seen.try_emplace(hk, key);
-    if (!inserted) {
-      *a = it->second;
-      *b = key;
-      return true;
-    }
-  }
-  return false;
-}
 
 TEST(SimdBackendCollision, SecondKeyRejectedAndCounted) {
   std::string a, b;

@@ -273,5 +273,97 @@ TEST(Protocol, MetricsRoundTrip) {
   EXPECT_FALSE(DecodeMetricsResponse(buf, &text));
 }
 
+// --- golden bytes -----------------------------------------------------------
+//
+// The Multi-Get encoders size each frame once and copy entries in place;
+// these pin the exact wire bytes (little-endian fields, as documented in
+// protocol.h) so that a rewrite of either encoder cannot change the format.
+
+// Concatenates byte values and string pieces into one expected frame.
+struct Golden {
+  Buffer bytes;
+  Golden& U8(std::uint8_t v) {
+    bytes.push_back(v);
+    return *this;
+  }
+  Golden& Le(std::uint64_t v, unsigned width) {
+    for (unsigned i = 0; i < width; ++i) U8((v >> (8 * i)) & 0xff);
+    return *this;
+  }
+  Golden& Str(std::string_view s) {
+    bytes.insert(bytes.end(), s.begin(), s.end());
+    return *this;
+  }
+};
+
+TEST(ProtocolGolden, MultiGetRequestBytes) {
+  Buffer buf;
+  EncodeMultiGetRequest({"ab", "", "xyz"}, &buf);
+  Golden want;
+  want.U8(2).Le(3, 4).Le(2, 2).Str("ab").Le(0, 2).Le(3, 2).Str("xyz");
+  EXPECT_EQ(buf, want.bytes);
+
+  EncodeMultiGetRequest({}, &buf);  // 0 keys: header only
+  EXPECT_EQ(buf, Golden().U8(2).Le(0, 4).bytes);
+}
+
+TEST(ProtocolGolden, TracedMultiGetRequestBytes) {
+  Buffer buf;
+  EncodeTracedMultiGetRequest({"", "k"}, TraceContext{0x0102030405060708, true},
+                              &buf);
+  Golden want;
+  want.U8(5).Le(2, 4).Le(0x0102030405060708, 8).U8(1);
+  want.Le(0, 2).Le(1, 2).Str("k");
+  EXPECT_EQ(buf, want.bytes);
+
+  EncodeTracedMultiGetRequest({}, TraceContext{7, false}, &buf);
+  EXPECT_EQ(buf, Golden().U8(5).Le(0, 4).Le(7, 8).U8(0).bytes);
+}
+
+TEST(ProtocolGolden, MultiGetResponseBytes) {
+  Buffer buf;
+  // found = 0 carries no value bytes even when the slot holds a stale view.
+  EncodeMultiGetResponse({"v1", "", "stale"}, {1, 1, 0}, &buf);
+  Golden want;
+  want.U8(2).Le(3, 4);
+  want.U8(1).Le(2, 4).Str("v1");  // hit
+  want.U8(1).Le(0, 4);            // hit with an empty value
+  want.U8(0).Le(0, 4);            // miss
+  EXPECT_EQ(buf, want.bytes);
+
+  const std::vector<std::string_view> no_vals;
+  const std::vector<std::uint8_t> no_found;
+  EncodeMultiGetResponse(no_vals, no_found, &buf);  // 0 entries
+  EXPECT_EQ(buf, Golden().U8(2).Le(0, 4).bytes);
+}
+
+TEST(ProtocolGolden, TracedMultiGetResponseBytes) {
+  Buffer buf;
+  EncodeTracedMultiGetResponse({"", "val"}, {0, 1}, 0xabcdef, {1.5, 2.0},
+                               &buf);
+  Golden want;
+  want.U8(5).Le(2, 4).Le(0xabcdef, 8);
+  want.Le(0x3FF8000000000000ull, 8).Le(0x4000000000000000ull, 8);
+  want.U8(0).Le(0, 4).U8(1).Le(3, 4).Str("val");
+  EXPECT_EQ(buf, want.bytes);
+
+  const std::vector<std::string_view> no_vals;
+  const std::vector<std::uint8_t> no_found;
+  EncodeTracedMultiGetResponse(no_vals, no_found, 1, {0.0, 0.0}, &buf);
+  EXPECT_EQ(buf, Golden().U8(5).Le(0, 4).Le(1, 8).Le(0, 8).Le(0, 8).bytes);
+}
+
+TEST(ProtocolGolden, ResponseFromBatchSliceMatchesWholeVector) {
+  // A server encodes one request's slice of a combined batch.
+  const std::vector<std::string_view> vals = {"x", "mid", "", "y", "z"};
+  const std::vector<std::uint8_t> found = {1, 1, 0, 1, 0};
+  Buffer sliced, whole;
+  EncodeMultiGetResponse(std::span<const std::string_view>(vals).subspan(1, 3),
+                         std::span<const std::uint8_t>(found).subspan(1, 3),
+                         &sliced);
+  EncodeMultiGetResponse({"mid", "", "y"}, {1, 0, 1}, &whole);
+  EXPECT_EQ(sliced, whole);
+}
+
 }  // namespace
 }  // namespace simdht

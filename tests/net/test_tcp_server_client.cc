@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "kvs/memc3_backend.h"
+#include "kvs/simd_backend.h"
 #include "kvs/protocol.h"
 #include "net/kv_tcp_client.h"
 #include "net/kv_tcp_server.h"
@@ -136,6 +137,108 @@ TEST(KvTcpServer, CrossConnectionFramesBatchIntoOneProbe) {
   const auto probe = snap.histograms.find(kvs_metrics::kIndexProbeNs);
   ASSERT_NE(probe, snap.histograms.end());
   EXPECT_EQ(probe->second.count(), 1u);
+}
+
+TEST(KvTcpServer, ThreeConnectionsShareAFlushPastMaxBatchKeys) {
+  // Three connections' frames land in one dispatch cycle; the third pushes
+  // the batch past max_batch_keys, so they flush together mid-cycle. The
+  // keys travel through the server's key arena and each response is
+  // encoded from its own slice of the combined batch: every connection must
+  // get exactly its own values, in order — misses and an empty value
+  // included, on plain and traced frames alike.
+  SimdBackend backend(SimdBackend::ScalarBucketCuckoo(), 1 << 12, 16 << 20);
+  KvTcpServerOptions options;
+  options.max_batch_keys = 10;
+  KvTcpServer server(&backend, options);
+  std::string err;
+  ASSERT_TRUE(server.Listen(&err)) << err;
+
+  constexpr int kConns = 3;
+  constexpr int kKeysPerFrame = 4;
+  std::vector<ScopedFd> conns;
+  for (int c = 0; c < kConns; ++c) {
+    conns.emplace_back(ConnectTcp("127.0.0.1", server.port(), &err));
+    ASSERT_TRUE(conns.back()) << err;
+  }
+  for (int i = 0; i < 50 && server.num_connections() < kConns; ++i) {
+    server.PollOnce(100);
+  }
+  ASSERT_EQ(server.num_connections(), static_cast<std::size_t>(kConns));
+
+  // Connection c asks for keys "c<c>-k<j>"; k3 is never stored and
+  // connection 1's k1 holds an empty value.
+  std::vector<std::string> keys[kConns], want[kConns];
+  std::vector<std::uint8_t> want_found[kConns];
+  for (int c = 0; c < kConns; ++c) {
+    for (int j = 0; j < kKeysPerFrame; ++j) {
+      const std::string key =
+          "c" + std::to_string(c) + "-k" + std::to_string(j);
+      const std::string val =
+          c == 1 && j == 1 ? std::string() : "value-of-" + key;
+      keys[c].push_back(key);
+      const bool stored = j != 3;
+      if (stored) {
+        ASSERT_TRUE(backend.Set(key, val));
+      }
+      want[c].push_back(stored ? val : std::string());
+      want_found[c].push_back(stored ? 1 : 0);
+    }
+    Buffer payload, wire;
+    if (c == 2) {
+      EncodeTracedMultiGetRequest(Views(keys[c]), TraceContext{77, false},
+                                  &payload);
+    } else {
+      EncodeMultiGetRequest(Views(keys[c]), &payload);
+    }
+    AppendFrame(payload, &wire);
+    ASSERT_EQ(::send(conns[c].get(), wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.PollOnce(1000);
+
+  const MetricsSnapshot snap = server.Metrics();
+  EXPECT_EQ(snap.counter(net_metrics::kBatches), 1u);
+  EXPECT_EQ(snap.counter(net_metrics::kKeys),
+            static_cast<std::uint64_t>(kConns * kKeysPerFrame));
+  EXPECT_GT(snap.counter(net_metrics::kKeys), options.max_batch_keys);
+  const auto occupancy =
+      snap.histograms.find(net_metrics::kBatchConnections);
+  ASSERT_NE(occupancy, snap.histograms.end());
+  EXPECT_EQ(occupancy->second.max(), static_cast<std::uint64_t>(kConns));
+
+  for (int c = 0; c < kConns; ++c) {
+    FrameAssembler assembler;
+    Buffer frame;
+    for (;;) {
+      const FrameAssembler::Result r = assembler.Next(&frame, nullptr);
+      if (r == FrameAssembler::Result::kFrame) break;
+      ASSERT_EQ(r, FrameAssembler::Result::kNeedMore);
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::recv(conns[c].get(), chunk, sizeof(chunk), 0);
+      ASSERT_GT(n, 0);
+      assembler.Append(chunk, static_cast<std::size_t>(n));
+    }
+    MultiGetResponse response;
+    std::string decode_err;
+    if (c == 2) {
+      std::uint64_t trace_id = 0;
+      ServerTiming timing;
+      ASSERT_TRUE(DecodeTracedMultiGetResponse(frame, &response, &trace_id,
+                                               &timing, &decode_err))
+          << decode_err;
+      EXPECT_EQ(trace_id, 77u);
+    } else {
+      ASSERT_TRUE(DecodeMultiGetResponse(frame, &response, &decode_err))
+          << decode_err;
+    }
+    ASSERT_EQ(response.vals.size(), static_cast<std::size_t>(kKeysPerFrame));
+    EXPECT_EQ(response.found, want_found[c]) << "connection " << c;
+    for (int j = 0; j < kKeysPerFrame; ++j) {
+      EXPECT_EQ(response.vals[j], want[c][j])
+          << "connection " << c << " key " << j;
+    }
+  }
 }
 
 TEST(KvTcpServer, OversizedLengthPrefixClosesConnection) {

@@ -9,6 +9,7 @@
 // n smaller than the group size, and 0%-hit-rate batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -147,6 +148,205 @@ TEST(PrefetchPipeline, MatchesDirectPathForEveryKernel) {
     } else {
       ADD_FAILURE() << "untested (key, val) widths for " << kernel.name;
     }
+  }
+}
+
+// --- fused AMAC schedule ---------------------------------------------------
+//
+// Under kAmac the scalar and horizontal cuckoo kernels take the fused
+// per-key interleave (ProbeBatch::prefetch_distance), but only on tables
+// larger than the core's L2 — the shapes above are all smaller and go down
+// the direct path. These cases build tables past the gate, with a populated
+// overflow stash, and hold the fused path bit-identical to kernel.Lookup at
+// batch sizes around the prefetch distance.
+
+const std::size_t kFusedBatchSizes[] = {
+    0, 1, kPrefetchDistance - 1, kPrefetchDistance, kPrefetchDistance + 1,
+    96, 4096};
+
+bool TakesFusedAmac(const KernelInfo& kernel) {
+  return kernel.family == TableFamily::kCuckoo &&
+         (kernel.approach == Approach::kScalar ||
+          kernel.approach == Approach::kHorizontal);
+}
+
+// The (2, m) shape and power-of-two bucket count of the smallest table past
+// the L2 gate: m = 4 where the key width can address enough buckets (a
+// table needs log2(buckets) < key bits), else m = 8. Returns false when
+// even that cannot pass the gate (16-bit keys on an L2 of 1.5 MiB or
+// more); the shape is then the largest such table.
+bool FusedCaseShape(unsigned key_bits, unsigned val_bits, BucketLayout layout,
+                    LayoutSpec* spec, std::uint64_t* buckets) {
+  spec->ways = 2;
+  spec->key_bits = key_bits;
+  spec->val_bits = val_bits;
+  spec->bucket_layout = layout;
+  for (const unsigned slots : {4u, 8u}) {
+    spec->slots = slots;
+    unsigned log2 = 1;
+    while ((std::uint64_t{1} << log2) * spec->bucket_bytes() <=
+           CoreL2Bytes()) {
+      ++log2;
+    }
+    if (log2 < key_bits) {
+      *buckets = std::uint64_t{1} << log2;
+      return true;
+    }
+  }
+  *buckets = std::uint64_t{1} << (key_bits - 1);
+  return false;
+}
+
+template <typename K, typename V>
+void VerifyFusedAmacOnLargeTable(BucketLayout layout) {
+  LayoutSpec spec;
+  std::uint64_t buckets = 0;
+  const bool past_gate = FusedCaseShape(sizeof(K) * 8, sizeof(V) * 8, layout,
+                                        &spec, &buckets);
+  const CpuFeatures& cpu = GetCpuFeatures();
+  std::vector<const KernelInfo*> kernels;
+  for (const KernelInfo& kernel : KernelRegistry::Get().all()) {
+    if (TakesFusedAmac(kernel) && cpu.Supports(kernel.level) &&
+        kernel.Matches(spec)) {
+      kernels.push_back(&kernel);
+    }
+  }
+  if (kernels.empty()) return;
+
+  CuckooTable<K, V> table(spec.ways, spec.slots, buckets, layout,
+                          /*seed=*/41);
+  // 16-bit keys cannot fill a large table; a sparse one still probes.
+  const double lf =
+      sizeof(K) == 2
+          ? std::min(0.85, 30000.0 / static_cast<double>(table.capacity()))
+          : 0.85;
+  auto build = FillToLoadFactor(&table, lf, /*seed=*/43);
+  ASSERT_GT(build.inserted_keys.size(), 0u);
+  auto misses = UniqueRandomKeys<K>(2048, 47, &build.inserted_keys);
+  ASSERT_GE(misses.size(), 8u);
+
+  // Populated stash: fresh keys (absent from every bucket) appended
+  // straight to the overflow stash, so only the stash post-pass finds them.
+  std::vector<K> stashed(misses.end() - 4, misses.end());
+  misses.resize(misses.size() - 4);
+  table.set_stash_capacity(static_cast<unsigned>(stashed.size()));
+  for (const K key : stashed) {
+    ASSERT_TRUE(table.store().StashAppend(key, DeriveVal<K, V>(key)));
+  }
+  const TableView view = table.view();
+  ASSERT_EQ(view.total_bytes() > CoreL2Bytes(), past_gate);
+  ASSERT_EQ(view.stash_count, stashed.size());
+
+  WorkloadConfig wc;
+  wc.pattern = AccessPattern::kUniform;
+  wc.hit_rate = 0.7;
+  wc.num_queries = 4096;
+  wc.seed = 53;
+  auto queries = GenerateQueries(build.inserted_keys, misses, wc);
+  ASSERT_EQ(queries.size(), wc.num_queries);
+  for (std::size_t i = 0; i < queries.size(); i += 7) {
+    queries[i] = stashed[(i / 7) % stashed.size()];
+  }
+
+  const PipelineConfig amac{PrefetchPolicy::kAmac, 32, 4};
+  for (const KernelInfo* kernel : kernels) {
+    for (const std::size_t n : kFusedBatchSizes) {
+      const std::string label = kernel->name + " n=" + std::to_string(n);
+      std::vector<V> want_vals(n, V{0x11});
+      std::vector<std::uint8_t> want_found(n, 0x11);
+      const std::uint64_t want = kernel->Lookup(
+          view, ProbeBatch::Of(queries.data(), want_vals.data(),
+                               want_found.data(), n));
+
+      // The kernel's own interleave, whatever the table size.
+      std::vector<V> vals(n, V{0x55});
+      std::vector<std::uint8_t> found(n, 0x55);
+      ProbeBatch fused =
+          ProbeBatch::Of(queries.data(), vals.data(), found.data(), n);
+      fused.prefetch_distance = kPrefetchDistance;
+      EXPECT_EQ(kernel->Lookup(view, fused), want) << label;
+      EXPECT_EQ(vals, want_vals) << label;
+      EXPECT_EQ(found, want_found) << label;
+      if (!past_gate) continue;
+
+      // The engine's dispatch onto it.
+      std::fill(vals.begin(), vals.end(), V{0x55});
+      std::fill(found.begin(), found.end(), 0x55);
+      ProbeBatchStats stats;
+      const std::uint64_t hits = PipelinedLookup(
+          *kernel, view,
+          ProbeBatch::Of(queries.data(), vals.data(), found.data(), n,
+                         &stats),
+          amac);
+      EXPECT_EQ(hits, want) << label;
+      EXPECT_EQ(vals, want_vals) << label;
+      EXPECT_EQ(found, want_found) << label;
+      EXPECT_EQ(stats.lookups, n) << label;
+      EXPECT_EQ(stats.hits, hits) << label;
+      EXPECT_EQ(stats.kernel_calls, 1u) << label;
+      EXPECT_EQ(stats.prefetch_groups,
+                (n + kPrefetchDistance - 1) / kPrefetchDistance)
+          << label;
+    }
+    // The stash keys themselves resolve through the fused path.
+    std::vector<V> vals(stashed.size());
+    std::vector<std::uint8_t> found(stashed.size());
+    ProbeBatch batch = ProbeBatch::Of(stashed.data(), vals.data(),
+                                      found.data(), stashed.size());
+    batch.prefetch_distance = kPrefetchDistance;
+    EXPECT_EQ(kernel->Lookup(view, batch), stashed.size()) << kernel->name;
+    for (std::size_t i = 0; i < stashed.size(); ++i) {
+      EXPECT_EQ(vals[i], (DeriveVal<K, V>(stashed[i]))) << kernel->name;
+    }
+  }
+}
+
+TEST(PrefetchPipeline, FusedAmacMatchesKernelAboveTheL2Gate) {
+  for (const BucketLayout layout :
+       {BucketLayout::kInterleaved, BucketLayout::kSplit}) {
+    VerifyFusedAmacOnLargeTable<std::uint32_t, std::uint32_t>(layout);
+    VerifyFusedAmacOnLargeTable<std::uint64_t, std::uint64_t>(layout);
+    VerifyFusedAmacOnLargeTable<std::uint16_t, std::uint32_t>(layout);
+  }
+}
+
+TEST(PrefetchPipeline, FusedAmacCoversEveryScalarAndHorizontalKernel) {
+  // Every kernel the fused path serves must be reachable by the case above
+  // on the shape it builds.
+  for (const KernelInfo& kernel : KernelRegistry::Get().all()) {
+    if (!TakesFusedAmac(kernel)) continue;
+    LayoutSpec spec;
+    std::uint64_t buckets = 0;
+    FusedCaseShape(kernel.key_bits, kernel.val_bits, kernel.bucket_layout,
+                   &spec, &buckets);
+    EXPECT_TRUE(kernel.Matches(spec)) << kernel.name;
+  }
+}
+
+TEST(PrefetchPipeline, L2ResidentTablesTakeTheDirectPath) {
+  CuckooTable32 table(2, 4, 1 << 8, BucketLayout::kInterleaved, 1);
+  auto build = FillToLoadFactor(&table, 0.8, 2);
+  ASSERT_LE(table.view().total_bytes(), CoreL2Bytes());
+  const std::size_t n = 100;
+  std::vector<std::uint32_t> keys(build.inserted_keys.begin(),
+                                  build.inserted_keys.begin() + n);
+  std::vector<std::uint32_t> vals(n);
+  std::vector<std::uint8_t> found(n);
+  for (const KernelInfo& kernel : KernelRegistry::Get().all()) {
+    if (!TakesFusedAmac(kernel) ||
+        !GetCpuFeatures().Supports(kernel.level) ||
+        !kernel.Matches(table.spec())) {
+      continue;
+    }
+    ProbeBatchStats stats;
+    EXPECT_EQ(PipelinedLookup(kernel, table.view(),
+                              ProbeBatch::Of(keys.data(), vals.data(),
+                                             found.data(), n, &stats),
+                              PipelineConfig{PrefetchPolicy::kAmac, 32, 4}),
+              n)
+        << kernel.name;
+    EXPECT_EQ(stats.kernel_calls, 1u) << kernel.name;
+    EXPECT_EQ(stats.prefetch_groups, 0u) << kernel.name;
   }
 }
 
