@@ -131,10 +131,10 @@ int main(int argc, char** argv) {
                      (1.0 - r.mget_p50_us / memc3_lat) * 100.0, 1) +
                      "% lower"
                : "-"});
-      const double pre = r.phases.MeanPreNs() / 1e3;
-      const double lookup = r.phases.MeanLookupNs() / 1e3;
-      const double post = r.phases.MeanPostNs() / 1e3;
-      const double total = r.phases.MeanTotalNs() / 1e3;
+      const double pre = r.pre_process_ns / 1e3;
+      const double lookup = r.ht_lookup_ns / 1e3;
+      const double post = r.post_process_ns / 1e3;
+      const double total = pre + lookup + post;
       session.AddRow(candidate.label,
                      {{"batch", std::to_string(batch)}},
                      {{"server_get_mops",

@@ -11,7 +11,7 @@
 //                     driven by the open-loop RunTcpLoadgen harness. Extra
 //                     columns report the achieved rate and the
 //                     cross-connection batch occupancy the epoll server
-//                     reached (kvs.net.batch_connections.max).
+//                     reached (STATS batch_connections.max).
 //
 // TCP-mode knobs: --servers=N (cluster size), --conns=N (driver threads),
 // --qps=R + --arrival=uniform|poisson|closed (open-loop rate), --mget=K.

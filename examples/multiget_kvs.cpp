@@ -118,11 +118,13 @@ int main(int argc, char** argv) {
   server0.Join();
   server1.Join();
 
-  const PhaseStats s0 = server0.stats();
-  const PhaseStats s1 = server1.stats();
+  const auto lookup_us = [](const KvServer& server) {
+    return server.Metrics().histograms.at(kvs_metrics::kIndexProbeNs).mean() /
+           1e3;
+  };
   std::printf("\nserver-side lookup phase per batch: shard0 (%s) %.2f us, "
               "shard1 (%s) %.2f us\n",
-              shards[0]->name(), s0.MeanLookupNs() / 1e3, shards[1]->name(),
-              s1.MeanLookupNs() / 1e3);
+              shards[0]->name(), lookup_us(server0), shards[1]->name(),
+              lookup_us(server1));
   return 0;
 }

@@ -67,7 +67,8 @@ std::uint64_t YcsbPreload(YcsbTable* table, std::uint64_t n) {
 
 YcsbResult RunYcsb(YcsbTable* table, const YcsbConfig& config) {
   YcsbResult result;
-  result.workload = YcsbWorkloadName(config.workload);
+  // Move-assigned: GCC 12's -Wrestrict misfires on string = const char*.
+  result.workload = std::string(YcsbWorkloadName(config.workload));
   const YcsbMix mix = YcsbMixFor(config.workload);
   const bool read_latest = config.workload == YcsbWorkload::kD;
 

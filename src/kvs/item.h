@@ -69,15 +69,20 @@ inline bool ItemKeyEquals(std::uint64_t handle, std::string_view key) {
                      key.data(), key.size()) == 0;
 }
 
-// CLOCK reference-bit access. Plain byte store/load: the bit is advisory
-// (races only make eviction slightly less accurate, as in memcached).
+// CLOCK reference-bit access. Relaxed byte loads and stores (plain movs on
+// x86): serving threads touch the same hot items concurrently, and the bit
+// is advisory, so a lost update only makes eviction slightly less accurate,
+// as in memcached.
+inline std::atomic_ref<std::uint8_t> ClockBit(std::uint64_t handle) {
+  return std::atomic_ref<std::uint8_t>(
+      reinterpret_cast<ItemHeader*>(handle)->clock_bit);
+}
 inline void TouchItem(std::uint64_t handle) {
-  reinterpret_cast<ItemHeader*>(handle)->clock_bit = 1;
+  ClockBit(handle).store(1, std::memory_order_relaxed);
 }
 inline bool TestAndClearClockBit(std::uint64_t handle) {
-  auto* header = reinterpret_cast<ItemHeader*>(handle);
-  const bool was = header->clock_bit != 0;
-  header->clock_bit = 0;
+  const bool was = ClockBit(handle).load(std::memory_order_relaxed) != 0;
+  ClockBit(handle).store(0, std::memory_order_relaxed);
   return was;
 }
 

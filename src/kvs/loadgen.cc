@@ -226,15 +226,27 @@ MemslapResult RunMemslap(KvBackend* backend, const MemslapConfig& config,
     result.max_send_lag_us = std::max(result.max_send_lag_us, lag / 1e3);
   }
 
-  result.phases = server.stats();
-  const double processing_secs =
-      (result.phases.pre_process_ns + result.phases.ht_lookup_ns +
-       result.phases.post_process_ns) /
-      1e9;
+  const MetricsSnapshot snap = server.Metrics();
+  result.mget_batches = snap.counter(kvs_metrics::kBatches);
+  result.mget_keys = snap.counter(kvs_metrics::kKeys);
+  const auto total_ns = [&snap](const char* phase) {
+    const auto it = snap.histograms.find(phase);
+    return it == snap.histograms.end() ? 0.0
+                                       : static_cast<double>(it->second.sum());
+  };
+  const double pre_ns = total_ns(kvs_metrics::kParseNs);
+  const double lookup_ns = total_ns(kvs_metrics::kIndexProbeNs);
+  const double post_ns = total_ns(kvs_metrics::kValueCopyNs);
+  if (result.mget_batches > 0) {
+    const double batches = static_cast<double>(result.mget_batches);
+    result.pre_process_ns = pre_ns / batches;
+    result.ht_lookup_ns = lookup_ns / batches;
+    result.post_process_ns = post_ns / batches;
+  }
+  const double processing_secs = (pre_ns + lookup_ns + post_ns) / 1e9;
   result.server_get_mops =
       processing_secs > 0
-          ? static_cast<double>(result.phases.mget_keys) / processing_secs /
-                1e6
+          ? static_cast<double>(result.mget_keys) / processing_secs / 1e6
           : 0;
   result.client_mgets_per_sec =
       phase_secs > 0 ? static_cast<double>(all.count()) / phase_secs : 0;

@@ -92,8 +92,15 @@ struct MemslapResult {
   double intended_qps = 0;
   double max_send_lag_us = 0;
 
-  // Per-phase server breakdown (Fig 11b).
-  PhaseStats phases;
+  // Server-side Multi-Get totals and the per-phase breakdown (Fig 11b):
+  // mean ns per batch of pre-processing (parse), hash-table lookup (index
+  // probe) and post-processing (value copy), from the exact sums of the
+  // server's phase histograms.
+  std::uint64_t mget_batches = 0;
+  std::uint64_t mget_keys = 0;
+  double pre_process_ns = 0;
+  double ht_lookup_ns = 0;
+  double post_process_ns = 0;
   double observed_hit_rate = 0;
 };
 
@@ -102,9 +109,8 @@ std::string MakeKeyString(std::size_t index, std::size_t key_size);
 
 // Preloads `backend` through the wire and drives the Multi-Get phase.
 // When `metrics` is non-null it is attached to the server, which exports
-// the kvs_metrics:: per-phase series into it (see kvs/server.h); the
-// registry then holds tail latencies (p95/p99/p999) the mean-based
-// PhaseStats cannot provide.
+// the kvs_metrics:: series into it (see kvs/request_engine.h), so the
+// caller can read phase tails (p95/p99/p999) besides the means above.
 MemslapResult RunMemslap(KvBackend* backend, const MemslapConfig& config,
                          MetricsRegistry* metrics = nullptr);
 

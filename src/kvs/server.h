@@ -1,66 +1,27 @@
-// Multi-Get key-value server with per-phase timing (paper Section VI-A).
+// Multi-Get key-value server over the simulated RDMA transport (paper
+// Section VI-A).
 //
-// Each worker thread services one channel. An MGet request flows through the
-// three server sub-phases the paper's Fig 11(b) breaks down:
-//   (1) pre-processing  — parse the batch, extract keys
-//   (2) hash-table lookup — backend MultiGet (SIMD-accelerated or MemC3)
-//   (3) post-processing — CLOCK/LRU metadata updates + response build
-// Phase times are accumulated per worker with the TSC and reported as
-// nanoseconds per request batch.
-//
-// When a MetricsRegistry is attached the same phases are additionally
-// exported as live histograms/counters (lock-free per-worker slabs), split
-// one step finer than PhaseStats: the index probe (backend MultiGet), the
-// value-copy side (freshness updates + response build) and the transport
-// send. PhaseStats keeps means for the Fig 11(b) tables; the registry adds
-// tails (p95/p99) and lets an external reporter poll a running server.
+// One worker thread per channel receives a frame, hands it to the shared
+// KvRequestEngine (kvs/request_engine.h), flushes the engine and sends the
+// response. A Multi-Get batch is thus always one client's request, the
+// setup Fig 11 measures. All workers share the engine's registry, rolling
+// windows and metric catalogue; malformed frames are counted and dropped.
 #ifndef SIMDHT_KVS_SERVER_H_
 #define SIMDHT_KVS_SERVER_H_
 
-#include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "kvs/backend.h"
+#include "kvs/request_engine.h"
 #include "kvs/transport.h"
-#include "perf/metrics.h"
 
 namespace simdht {
 
-// Aggregated server-side timing for the data-access phases.
-struct PhaseStats {
-  std::uint64_t mget_batches = 0;
-  std::uint64_t mget_keys = 0;
-  std::uint64_t mget_hits = 0;
-  double pre_process_ns = 0;   // totals; divide by mget_batches for means
-  double ht_lookup_ns = 0;
-  double post_process_ns = 0;
-
-  void Merge(const PhaseStats& other);
-  double MeanPreNs() const;
-  double MeanLookupNs() const;
-  double MeanPostNs() const;
-  double MeanTotalNs() const;
-};
-
-// Metric names exported by KvServer into an attached registry.
-namespace kvs_metrics {
-inline constexpr char kMgetBatches[] = "kvs.mget.batches";
-inline constexpr char kMgetKeys[] = "kvs.mget.keys";
-inline constexpr char kMgetHits[] = "kvs.mget.hits";
-inline constexpr char kParseNs[] = "kvs.mget.parse_ns";            // phase 1
-inline constexpr char kIndexProbeNs[] = "kvs.mget.index_probe_ns";  // phase 2
-inline constexpr char kValueCopyNs[] = "kvs.mget.value_copy_ns";    // phase 3
-inline constexpr char kTransportNs[] = "kvs.mget.transport_ns";     // send
-}  // namespace kvs_metrics
-
 class KvServer {
  public:
-  // The server serves every channel with one worker thread; the backend is
-  // shared (the paper's shared-HT, full-subscription setup). `metrics` is
-  // optional and caller-owned; when non-null it must outlive the server and
-  // receives the kvs_metrics:: series from every worker.
+  // The backend is shared by every worker (the paper's shared-HT,
+  // full-subscription setup). `metrics` is optional and caller-owned (it
+  // must outlive the server); when null the server keeps a private one.
   KvServer(KvBackend* backend, std::vector<Channel*> channels,
            MetricsRegistry* metrics = nullptr);
   ~KvServer();
@@ -68,30 +29,19 @@ class KvServer {
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
-  // Starts worker threads. Workers exit on a Shutdown request or channel
-  // close.
+  // Starts the workers; each exits on a Shutdown request or channel close.
   void Start();
-
-  // Waits for all workers to finish (after clients send Shutdown).
   void Join();
 
-  // Total stats across workers (valid after Join).
-  PhaseStats stats() const;
+  // The kvs_metrics:: series of every worker. Thread-safe.
+  MetricsSnapshot Metrics() const { return engine_.Metrics(); }
 
  private:
-  struct MetricIds {
-    MetricId batches, keys, hits;
-    MetricId parse_ns, index_probe_ns, value_copy_ns, transport_ns;
-  };
+  void WorkerLoop(Channel* channel, std::uint64_t id);
 
-  void WorkerLoop(std::size_t worker_index);
-
-  KvBackend* backend_;
+  KvRequestEngine engine_;
   std::vector<Channel*> channels_;
   std::vector<std::thread> workers_;
-  std::vector<PhaseStats> worker_stats_;
-  MetricsRegistry* metrics_;  // nullable, caller-owned
-  MetricIds ids_{};           // valid when metrics_ != nullptr
 };
 
 }  // namespace simdht

@@ -3,20 +3,10 @@
 // The serving subsystem exposes its live metrics as `simdht_*` families —
 // over the METRICS admin op and the optional --metrics-port HTTP listener —
 // so a standard Prometheus scrape (or `curl`) can watch a running server.
-// This writer only formats; which families exist and what feeds them is
-// decided by the caller (KvTcpServer::RenderMetricsText). Naming scheme:
-//
-//   simdht_kvs_requests_total        counter  MGET frames served
-//   simdht_kvs_keys_total            counter  keys probed
-//   simdht_kvs_hits_total            counter  keys found
-//   simdht_kvs_batches_total         counter  cross-connection batch flushes
-//   simdht_net_connections_total     counter  connections accepted
-//   simdht_net_protocol_errors_total counter  frames rejected
-//   simdht_kvs_phase_ns{phase=,quantile=}  gauge  lifetime phase latency
-//   simdht_window_*                  gauge    rolling-window views (rates,
-//                                             tail quantiles, occupancy)
-//   simdht_shard_hits_total{shard=}  counter  per-shard probe outcomes
-//                                             (also _misses_/_stash_hits_)
+// This writer only formats. Which families exist, their labels and help
+// text, and what feeds them is defined once, in the serving-metric
+// catalogue (KvSeriesCatalogue() in kvs/request_engine.h; the table is
+// also in docs/observability.md).
 #ifndef SIMDHT_OBS_PROMETHEUS_H_
 #define SIMDHT_OBS_PROMETHEUS_H_
 

@@ -13,6 +13,14 @@
 namespace simdht {
 namespace {
 
+// Full lane mask for the zero-masking (maskz) forms used below. GCC 12's
+// unmasked _mm512_{srli,cvtepu32,cvtepi64,inserti64x4} intrinsics pass an
+// undefined vector as the merge source, which -Wmaybe-uninitialized flags
+// (_mm512_zextsi256_si512 is built on the same unmasked insert); a maskz
+// form with every lane selected is the same instruction with a zero merge
+// source.
+constexpr __mmask8 kAllLanes = 0xFF;
+
 // ---------------------------------------------------------------- horizontal
 
 struct Avx512Ops16 {
@@ -24,7 +32,8 @@ struct Avx512Ops16 {
   }
   static Vec LoadFull(const void* p) { return _mm512_loadu_si512(p); }
   static Vec LoadTwoHalves(const void* lo, const void* hi) {
-    return _mm512_inserti64x4(
+    return _mm512_maskz_inserti64x4(
+        kAllLanes,
         _mm512_castsi256_si512(
             _mm256_loadu_si256(static_cast<const __m256i*>(lo))),
         _mm256_loadu_si256(static_cast<const __m256i*>(hi)), 1);
@@ -99,7 +108,7 @@ std::uint64_t VerAvx512K32(const TableView& view, const ProbeBatch& batch) {
   for (; i + 8 <= n; i += 8) {
     const __m256i k8 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m512i k64 = _mm512_cvtepu32_epi64(k8);
+    const __m512i k64 = _mm512_maskz_cvtepu32_epi64(kAllLanes, k8);
     __mmask8 pending = 0xFF;
     __m512i val64 = _mm512_setzero_si512();
     __mmask8 found8 = 0;
@@ -122,13 +131,13 @@ std::uint64_t VerAvx512K32(const TableView& view, const ProbeBatch& batch) {
             _mm512_setzero_si512(), pending, pidx, base, 8);
         const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(
             pending, _mm512_and_epi64(g, low32), k64);
-        val64 = _mm512_mask_mov_epi64(val64, eq, _mm512_srli_epi64(g, 32));
+        val64 = _mm512_mask_srli_epi64(val64, eq, g, 32);
         found8 |= eq;
         pending = static_cast<__mmask8>(pending & ~eq);
       }
     }
 
-    const __m256i packed = _mm512_cvtepi64_epi32(val64);
+    const __m256i packed = _mm512_maskz_cvtepi64_epi32(kAllLanes, val64);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + i), packed);
     for (unsigned l = 0; l < 8; ++l) found[i + l] = (found8 >> l) & 1;
     hits += static_cast<unsigned>(__builtin_popcount(found8));
@@ -181,7 +190,8 @@ std::uint64_t VerAvx512K64(const TableView& view, const ProbeBatch& batch) {
     __mmask8 found8 = 0;
 
     for (unsigned way = 0; way < ways && pending; ++way) {
-      const __m512i idx = _mm512_srli_epi64(
+      const __m512i idx = _mm512_maskz_srli_epi64(
+          kAllLanes,
           _mm512_mullo_epi64(
               k8, _mm512_set1_epi64(
                       static_cast<long long>(view.hash.mult[way]))),
@@ -193,7 +203,7 @@ std::uint64_t VerAvx512K64(const TableView& view, const ProbeBatch& batch) {
                          _mm512_mullo_epi64(
                              idx, _mm512_set1_epi64(static_cast<int>(m))),
                          _mm512_set1_epi64(static_cast<int>(slot)));
-        pidx = _mm512_slli_epi64(pidx, 1);  // 64-bit word index of the key
+        pidx = _mm512_add_epi64(pidx, pidx);  // 64-bit word index of the key
         const __m512i gk = _mm512_mask_i64gather_epi64(
             _mm512_setzero_si512(), pending, pidx, base, 8);
         const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(pending, gk, k8);

@@ -102,12 +102,16 @@ TEST(Ycsb, AllWorkloadsAllFamiliesSmoke) {
       EXPECT_DOUBLE_EQ(r.hit_rate, c.read_hits ? 1.0 : 0.0);
       EXPECT_EQ(r.final_size, config.initial_keys + c.inserts);
       const YcsbMix mix = YcsbMixFor(w);
-      if (mix.insert > 0) EXPECT_GT(c.inserts, 0u);
+      if (mix.insert > 0) {
+        EXPECT_GT(c.inserts, 0u);
+      }
       if (mix.scan > 0) {
         EXPECT_GT(c.scans, 0u);
         EXPECT_GE(c.scan_keys, c.scans);
       }
-      if (mix.rmw > 0) EXPECT_GT(c.rmws, 0u);
+      if (mix.rmw > 0) {
+        EXPECT_GT(c.rmws, 0u);
+      }
       EXPECT_GT(r.mops, 0.0);
     }
   }

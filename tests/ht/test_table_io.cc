@@ -119,7 +119,9 @@ TEST(TableIo, SwissRoundTripPreservesEverything) {
     const bool in_a = original.Find(key, &a);
     const bool in_b = loaded->Find(key, &b);
     ASSERT_EQ(in_a, in_b) << key;
-    if (in_a) ASSERT_EQ(a, b) << key;
+    if (in_a) {
+      ASSERT_EQ(a, b) << key;
+    }
     ASSERT_EQ(in_a, i % 5 != 0) << key;
   }
   // The control lane (incl. tombstones) must be byte-identical.

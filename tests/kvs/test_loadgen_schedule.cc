@@ -96,7 +96,7 @@ TEST(Memslap, OpenLoopModeRunsAtTargetRate) {
   config.target_qps = 2000;  // 400 requests at 2 kQPS -> ~0.2 s run
 
   const MemslapResult r = RunMemslap(&backend, config);
-  EXPECT_EQ(r.phases.mget_batches, 400u);
+  EXPECT_EQ(r.mget_batches, 400u);
   EXPECT_DOUBLE_EQ(r.intended_qps, 2000.0);
   // The achieved rate tracks the schedule, not the backend (a loopback
   // server left to run closed-loop would be ~100x over target) — so the

@@ -36,11 +36,11 @@ TEST(ServerClient, SetThenMultiGet) {
   client.Shutdown();
   server.Join();
 
-  const PhaseStats stats = server.stats();
-  EXPECT_EQ(stats.mget_batches, 1u);
-  EXPECT_EQ(stats.mget_keys, 3u);
-  EXPECT_EQ(stats.mget_hits, 2u);
-  EXPECT_GT(stats.ht_lookup_ns, 0.0);
+  const MetricsSnapshot stats = server.Metrics();
+  EXPECT_EQ(stats.counter(kvs_metrics::kBatches), 1u);
+  EXPECT_EQ(stats.counter(kvs_metrics::kKeys), 3u);
+  EXPECT_EQ(stats.counter(kvs_metrics::kHits), 2u);
+  EXPECT_GT(stats.histograms.at(kvs_metrics::kIndexProbeNs).sum(), 0u);
 }
 
 TEST(ServerClient, ExportsPhaseMetricsWhenRegistryAttached) {
@@ -60,9 +60,9 @@ TEST(ServerClient, ExportsPhaseMetricsWhenRegistryAttached) {
   server.Join();
 
   const MetricsSnapshot snap = metrics.Aggregate();
-  EXPECT_EQ(snap.counter(kvs_metrics::kMgetBatches), 2u);
-  EXPECT_EQ(snap.counter(kvs_metrics::kMgetKeys), 3u);
-  EXPECT_EQ(snap.counter(kvs_metrics::kMgetHits), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kBatches), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kKeys), 3u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kHits), 2u);
   for (const char* name :
        {kvs_metrics::kParseNs, kvs_metrics::kIndexProbeNs,
         kvs_metrics::kValueCopyNs, kvs_metrics::kTransportNs}) {
@@ -86,7 +86,8 @@ TEST(ServerClient, NoMetricsRegistryMeansNoExport) {
   ASSERT_TRUE(client.MultiGet({"k"}, &vals, &found));
   client.Shutdown();
   server.Join();
-  EXPECT_EQ(server.stats().mget_batches, 1u);  // PhaseStats still work
+  // The server's private registry still counts.
+  EXPECT_EQ(server.Metrics().counter(kvs_metrics::kBatches), 1u);
 }
 
 TEST(ServerClient, MultipleWorkersSharedBackend) {
@@ -128,8 +129,8 @@ TEST(Memslap, EndToEndSmallRun) {
 
   const MemslapResult result = RunMemslap(&backend, config);
   EXPECT_EQ(result.preloaded, 2000u);
-  EXPECT_EQ(result.phases.mget_batches, 200u);
-  EXPECT_EQ(result.phases.mget_keys, 200u * 16u);
+  EXPECT_EQ(result.mget_batches, 200u);
+  EXPECT_EQ(result.mget_keys, 200u * 16u);
   EXPECT_NEAR(result.observed_hit_rate, 0.95, 0.03);
   EXPECT_GT(result.server_get_mops, 0.0);
   EXPECT_GT(result.mget_p50_us, 0.0);

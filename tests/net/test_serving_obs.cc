@@ -330,7 +330,7 @@ TEST(KvTcpServerObs, RejectsTracedRequestWithUnknownFlagBits) {
     server.PollOnce(100);
   }
   EXPECT_EQ(server.num_connections(), 0u);
-  EXPECT_EQ(server.Metrics().counter(net_metrics::kProtocolErrors), 1u);
+  EXPECT_EQ(server.Metrics().counter(kvs_metrics::kProtocolErrors), 1u);
 }
 
 TEST(KvTcpServerObs, ShardProbeCountersAttributeHitsAndMisses) {

@@ -100,11 +100,11 @@ TEST(KvTcpServer, CrossConnectionFramesBatchIntoOneProbe) {
   // Both frames were served by a single backend MultiGet: one batch, two
   // keys, two distinct connections in it.
   const MetricsSnapshot snap = server.Metrics();
-  EXPECT_EQ(snap.counter(net_metrics::kBatches), 1u);
-  EXPECT_EQ(snap.counter(net_metrics::kKeys), 2u);
-  EXPECT_EQ(snap.counter(net_metrics::kHits), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kBatches), 1u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kKeys), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kHits), 2u);
   const auto occupancy =
-      snap.histograms.find(net_metrics::kBatchConnections);
+      snap.histograms.find(kvs_metrics::kBatchConnections);
   ASSERT_NE(occupancy, snap.histograms.end());
   EXPECT_EQ(occupancy->second.count(), 1u);
   EXPECT_EQ(occupancy->second.max(), 2u);
@@ -198,12 +198,12 @@ TEST(KvTcpServer, ThreeConnectionsShareAFlushPastMaxBatchKeys) {
   server.PollOnce(1000);
 
   const MetricsSnapshot snap = server.Metrics();
-  EXPECT_EQ(snap.counter(net_metrics::kBatches), 1u);
-  EXPECT_EQ(snap.counter(net_metrics::kKeys),
+  EXPECT_EQ(snap.counter(kvs_metrics::kBatches), 1u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kKeys),
             static_cast<std::uint64_t>(kConns * kKeysPerFrame));
-  EXPECT_GT(snap.counter(net_metrics::kKeys), options.max_batch_keys);
+  EXPECT_GT(snap.counter(kvs_metrics::kKeys), options.max_batch_keys);
   const auto occupancy =
-      snap.histograms.find(net_metrics::kBatchConnections);
+      snap.histograms.find(kvs_metrics::kBatchConnections);
   ASSERT_NE(occupancy, snap.histograms.end());
   EXPECT_EQ(occupancy->second.max(), static_cast<std::uint64_t>(kConns));
 
@@ -262,7 +262,7 @@ TEST(KvTcpServer, OversizedLengthPrefixClosesConnection) {
   server.PollOnce(1000);
 
   EXPECT_EQ(server.num_connections(), 0u);
-  EXPECT_EQ(server.Metrics().counter(net_metrics::kProtocolErrors), 1u);
+  EXPECT_EQ(server.Metrics().counter(kvs_metrics::kProtocolErrors), 1u);
   // Client sees EOF.
   std::uint8_t buf[8];
   EXPECT_EQ(::recv(c.get(), buf, sizeof(buf), 0), 0);
@@ -336,7 +336,7 @@ TEST(KvTcpServer, MidFrameFragmentationIsReassembled) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     server.PollOnce(200);
     const std::uint64_t batches =
-        server.Metrics().counter(net_metrics::kBatches);
+        server.Metrics().counter(kvs_metrics::kBatches);
     EXPECT_EQ(batches, i + 1 == wire.size() ? 1u : 0u) << "byte " << i;
   }
 

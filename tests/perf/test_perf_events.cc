@@ -192,7 +192,9 @@ TEST(ProbeTest, ProbesEveryRequestedEvent) {
   const auto probes = ProbePerfEvents();
   ASSERT_EQ(probes.size(), kNumPerfEvents);
   for (const PerfEventProbe& p : probes) {
-    if (!p.available) EXPECT_FALSE(p.error.empty());
+    if (!p.available) {
+      EXPECT_FALSE(p.error.empty());
+    }
   }
 }
 
@@ -216,7 +218,9 @@ TEST(CounterGroupTest, HardwareCountersWhenAvailable) {
   const PerfSample s = group.Stop();
   ASSERT_NE(s.valid_mask, 0u);
   for (PerfEvent e : group.open_events()) {
-    if (s.Has(e)) EXPECT_GE(s.Value(e), 0.0) << PerfEventName(e);
+    if (s.Has(e)) {
+      EXPECT_GE(s.Value(e), 0.0) << PerfEventName(e);
+    }
   }
   if (s.Has(PerfEvent::kCycles) && !s.estimated_cycles) {
     // ~2M multiply-adds must cost a nontrivial number of real cycles.
