@@ -148,10 +148,20 @@ KvRequestEngine::KvRequestEngine(KvBackend* backend, MetricsRegistry* metrics,
 }
 
 KvRequestEngine::Verdict KvRequestEngine::Worker::Handle(
-    const Buffer& frame, std::uint64_t conn, Buffer* reply) {
+    const Buffer& frame, std::uint64_t conn, const ReplySink& sink,
+    Buffer* reply) {
   KvRequestEngine& e = *engine_;
   Opcode op{};  // an empty frame has no opcode and falls through as malformed
   PeekOpcode(frame, &op);
+  if (op != Opcode::kMultiGet && op != Opcode::kTracedMultiGet &&
+      std::any_of(pending_.begin(), pending_.end(),
+                  [conn](const Pending& p) { return p.conn == conn; })) {
+    // Answer this connection's earlier Multi-Gets first: their responses
+    // go out ahead of this frame's reply, and a SET cannot change what they
+    // read. Other connections' requests only share the batch, so they need
+    // no flush.
+    Flush(sink);
+  }
   switch (op) {
     case Opcode::kSet: {
       SetRequest req;

@@ -3,10 +3,13 @@
 // KvServer (kvs/server.h) and the TCP KvTcpServer (net/kv_tcp_server.h) are
 // frame sources and sinks around it.
 //
-//   Handle(frame)  decodes one frame and dispatches on its opcode. SET,
-//                  MSET, STATS and METRICS are answered at once; MGET and
-//                  TMGET copy their keys into the pending batch (phase 1,
-//                  "parse"); SHUTDOWN and malformed frames go back to the
+//   Handle(frame)  decodes one frame and dispatches on its opcode. MGET
+//                  and TMGET copy their keys into the pending batch (phase
+//                  1, "parse"). Any other frame first flushes the pending
+//                  batch if it holds a request from the same connection,
+//                  so each connection's replies leave in request order;
+//                  then SET, MSET, STATS and METRICS are answered at once,
+//                  and SHUTDOWN and malformed frames go back to the
 //                  transport, which decides what they mean.
 //   Flush(sink)    runs one backend MultiGet over the batch (phase 2, "index
 //                  probe"), then TouchBatch and one response per request,
@@ -119,7 +122,10 @@ class KvRequestEngine {
    public:
     explicit Worker(KvRequestEngine* engine) : engine_(engine) {}
 
-    Verdict Handle(const Buffer& frame, std::uint64_t conn, Buffer* reply);
+    // `sink` takes the pending batch when a non-Multi-Get frame from a
+    // connection with a pending request flushes it.
+    Verdict Handle(const Buffer& frame, std::uint64_t conn,
+                   const ReplySink& sink, Buffer* reply);
     std::size_t pending_keys() const { return key_ends_.size(); }
     void Flush(const ReplySink& sink);  // no-op on an empty batch
 

@@ -34,7 +34,7 @@ void KvServer::WorkerLoop(Channel* channel, std::uint64_t id) {
   while (channel->ServerRecv(&request)) {
     // A malformed frame is dropped: answering it would desynchronize the
     // client's request/response pairing.
-    switch (worker.Handle(request, id, &reply)) {
+    switch (worker.Handle(request, id, sink, &reply)) {
       case Verdict::kReply: channel->ServerSend(reply); break;
       case Verdict::kQueued: worker.Flush(sink); break;
       case Verdict::kShutdown: return;

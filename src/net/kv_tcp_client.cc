@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 
+#include "net/wait_policy.h"
 #include "obs/timeline.h"
 
 namespace simdht {
@@ -43,6 +45,10 @@ bool KvTcpClient::SendFrame(const Buffer& payload, std::string* err) {
 }
 
 bool KvTcpClient::RecvFrame(Buffer* frame, std::string* err) {
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  const auto poll_until =
+      MayPollBeforeSleep(start) ? start + kPollBeforeSleep : start;
   std::string assemble_err;
   for (;;) {
     switch (assembler_.Next(frame, &assemble_err)) {
@@ -54,13 +60,14 @@ bool KvTcpClient::RecvFrame(Buffer* frame, std::string* err) {
         break;
     }
     std::uint8_t chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_.get(), chunk, sizeof(chunk), 0);
+    const int flags = Clock::now() < poll_until ? MSG_DONTWAIT : 0;
+    const ssize_t n = ::recv(fd_.get(), chunk, sizeof(chunk), flags);
     if (n > 0) {
       assembler_.Append(chunk, static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) return Fail(err, "server closed connection");
-    if (errno == EINTR) continue;
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
     return Fail(err, ErrnoString("recv"));
   }
 }
@@ -86,19 +93,7 @@ bool KvTcpClient::MultiGet(const std::vector<std::string_view>& keys,
   EncodeMultiGetRequest(keys, &request_);
   if (!SendFrame(request_, err)) return false;
   if (!RecvFrame(&frame_, err)) return false;
-  MultiGetResponse response;
-  std::string decode_err;
-  if (!DecodeMultiGetResponse(frame_, &response, &decode_err)) {
-    return Fail(err, "bad MGET response: " + decode_err);
-  }
-  if (response.vals.size() != keys.size()) {
-    return Fail(err, "MGET response count mismatch");
-  }
-  vals->clear();
-  vals->reserve(keys.size());
-  for (const std::string_view v : response.vals) vals->emplace_back(v);
-  *found = response.found;
-  return true;
+  return DecodeMultiGet(keys.size(), nullptr, vals, found, nullptr, err);
 }
 
 bool KvTcpClient::MultiGetTraced(const std::vector<std::string_view>& keys,
@@ -112,31 +107,46 @@ bool KvTcpClient::MultiGetTraced(const std::vector<std::string_view>& keys,
   if (!SendFrame(request_, err)) return false;
   if (!RecvFrame(&frame_, err)) return false;
   const double recv_us = Timeline::Global().NowUs();
-  MultiGetResponse response;
-  std::uint64_t echoed_id = 0;
   ServerTiming timing;
-  std::string decode_err;
-  if (!DecodeTracedMultiGetResponse(frame_, &response, &echoed_id, &timing,
-                                    &decode_err)) {
-    return Fail(err, "bad TMGET response: " + decode_err);
+  if (!DecodeMultiGet(keys.size(), &trace, vals, found, &timing, err)) {
+    return false;
   }
-  if (echoed_id != trace.trace_id) {
-    // A mismatched id means responses got paired with the wrong request —
-    // the stream ordering is broken.
-    return Fail(err, "TMGET response trace id mismatch");
-  }
-  if (response.vals.size() != keys.size()) {
-    return Fail(err, "TMGET response count mismatch");
-  }
-  vals->clear();
-  vals->reserve(keys.size());
-  for (const std::string_view v : response.vals) vals->emplace_back(v);
-  *found = response.found;
   if (exchange) {
     exchange->server = timing;
     exchange->client_send_us = send_us;
     exchange->client_recv_us = recv_us;
   }
+  return true;
+}
+
+bool KvTcpClient::DecodeMultiGet(std::size_t num_keys,
+                                 const TraceContext* trace,
+                                 std::vector<std::string>* vals,
+                                 std::vector<std::uint8_t>* found,
+                                 ServerTiming* timing, std::string* err) {
+  const char* op = trace ? "TMGET" : "MGET";
+  std::string decode_err;
+  std::uint64_t echoed_id = 0;
+  if (!(trace ? DecodeTracedMultiGetResponse(frame_, &response_, &echoed_id,
+                                             timing, &decode_err)
+              : DecodeMultiGetResponse(frame_, &response_, &decode_err))) {
+    return Fail(err, std::string("bad ") + op + " response: " + decode_err);
+  }
+  if (trace && echoed_id != trace->trace_id) {
+    // A mismatched id means responses got paired with the wrong request —
+    // the stream ordering is broken.
+    return Fail(err, "TMGET response trace id mismatch");
+  }
+  if (response_.vals.size() != num_keys) {
+    return Fail(err, std::string(op) + " response count mismatch");
+  }
+  // Overwrite the caller's strings in place: after the first call of a
+  // given size this allocates only for values longer than the last ones.
+  vals->resize(num_keys);
+  for (std::size_t i = 0; i < num_keys; ++i) {
+    (*vals)[i].assign(response_.vals[i]);
+  }
+  found->assign(response_.found.begin(), response_.found.end());
   return true;
 }
 

@@ -1,9 +1,11 @@
-// Blocking TCP client for the KVS wire protocol, plus a cluster-aware
+// Synchronous TCP client for the KVS wire protocol, plus a cluster-aware
 // client that routes keys to N servers via consistent hashing.
 //
 // KvTcpClient is the single-endpoint mirror of kvs/client.h's KvClient:
 // synchronous request/response over one connection, frames length-prefixed
-// per kvs/protocol.h.
+// per kvs/protocol.h. Each call waits for its response by polling the
+// socket for kPollBeforeSleep (net/wait_policy.h), then blocking in recv;
+// a thread whose core is contended blocks at once (MayPollBeforeSleep).
 //
 // KvClusterClient implements the paper's Section VI-A request phase over
 // real sockets: each key of a Multi-Get maps to a specific server through
@@ -74,7 +76,16 @@ class KvTcpClient {
 
  private:
   bool SendFrame(const Buffer& payload, std::string* err);
+  // Waits for the next frame: polls for kPollBeforeSleep if
+  // MayPollBeforeSleep (net/wait_policy.h), then blocks.
   bool RecvFrame(Buffer* frame, std::string* err);
+  // Decodes frame_ as the MGET response (TMGET when `trace` is set, whose
+  // id must echo back) to a `num_keys`-key request into response_, then
+  // copies it into the caller's vectors, reusing their strings.
+  bool DecodeMultiGet(std::size_t num_keys, const TraceContext* trace,
+                      std::vector<std::string>* vals,
+                      std::vector<std::uint8_t>* found, ServerTiming* timing,
+                      std::string* err);
   bool Fail(std::string* err, const std::string& message);
 
   ScopedFd fd_;
@@ -82,6 +93,7 @@ class KvTcpClient {
   Buffer request_;
   Buffer wire_;
   Buffer frame_;
+  MultiGetResponse response_;  // views into frame_
 };
 
 class KvClusterClient {

@@ -4,6 +4,8 @@
 
 #include <chrono>
 
+#include "net/wait_policy.h"
+
 namespace simdht {
 
 KvTcpServer::KvTcpServer(KvBackend* backend, KvTcpServerOptions options,
@@ -42,8 +44,16 @@ bool KvTcpServer::Listen(std::string* err) {
 }
 
 void KvTcpServer::Run() {
+  // Poll without sleeping until kPollBeforeSleep passes with no event, then
+  // block; the first event after a block starts a new polling budget. A
+  // thread whose core is contended blocks at once (MayPollBeforeSleep).
+  using Clock = std::chrono::steady_clock;
+  auto last_event = Clock::now();
   while (!stop_.load(std::memory_order_relaxed)) {
-    PollOnce(50);
+    const auto now = Clock::now();
+    const bool poll =
+        now - last_event < kPollBeforeSleep && MayPollBeforeSleep(now);
+    if (PollOnce(poll ? 0 : 50) > 0) last_event = Clock::now();
   }
   // Final cycle already flushed; drop every connection.
   conns_.clear();
@@ -136,8 +146,12 @@ void KvTcpServer::DrainFrames(Conn* conn) {
       case FrameAssembler::Result::kFrame:
         break;
     }
-    switch (worker_.Handle(frame_, id, &response_)) {
-      case Verdict::kReply: conn->connection->QueueFrame(response_); break;
+    // A flush inside Handle sends to every connection, so it may close this
+    // one (CloseConn is a no-op on a dead connection).
+    switch (worker_.Handle(frame_, id, sink_, &response_)) {
+      case Verdict::kReply:
+        if (!conn->dead) conn->connection->QueueFrame(response_);
+        break;
       case Verdict::kQueued:
         if (worker_.pending_keys() >= options_.max_batch_keys) {
           worker_.Flush(sink_);
@@ -181,6 +195,7 @@ void KvTcpServer::UpdateInterest(Conn* conn) {
 }
 
 void KvTcpServer::CloseConn(Conn* conn) {
+  if (conn->dead) return;  // already parked in dead_conns_
   conn->dead = true;
   loop_.Remove(conn->connection->fd());
   // The fd stays open until end-of-cycle: a stale event in this dispatch

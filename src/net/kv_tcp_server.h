@@ -69,6 +69,9 @@ class KvTcpServer {
   std::uint16_t port() const { return acceptor_.port(); }
 
   // Event loop until Stop() (or a SHUTDOWN frame). Call from one thread.
+  // Polls without sleeping while events keep arriving, and blocks in
+  // epoll once kPollBeforeSleep (net/wait_policy.h) passes without one, or
+  // at once while the thread's core is contended (MayPollBeforeSleep).
   void Run();
 
   // Listen() (if not yet listening) + Run() on an internal thread.
@@ -109,6 +112,7 @@ class KvTcpServer {
   void OnConnEvent(std::uint64_t id, std::uint32_t ready);
   void DrainFrames(Conn* conn);
   void UpdateInterest(Conn* conn);
+  // Parks the connection until end-of-cycle; a no-op if it is already dead.
   void CloseConn(Conn* conn);
   // One coalesced send per connection with queued responses: the
   // transport phase of a flush, and the end of every dispatch cycle.

@@ -185,13 +185,15 @@ TEST(KvRequestEngineParity, EmptyFrameIsMalformed) {
   Memc3Backend backend(1 << 10, 8 << 20);
   KvRequestEngine engine(&backend);
   KvRequestEngine::Worker worker(&engine);
+  const KvRequestEngine::ReplySink sink{[](std::uint64_t, const Buffer&) {},
+                                        [] {}};
   Buffer reply;
-  EXPECT_EQ(worker.Handle(Buffer{}, 1, &reply),
+  EXPECT_EQ(worker.Handle(Buffer{}, 1, sink, &reply),
             KvRequestEngine::Verdict::kMalformed);
   EXPECT_EQ(engine.Metrics().counter(kvs_metrics::kProtocolErrors), 1u);
   Buffer shutdown;
   EncodeShutdownRequest(&shutdown);
-  EXPECT_EQ(worker.Handle(shutdown, 1, &reply),
+  EXPECT_EQ(worker.Handle(shutdown, 1, sink, &reply),
             KvRequestEngine::Verdict::kShutdown);
 }
 
